@@ -9,7 +9,9 @@ Usage:
 
 Arguments are baseline/candidate pairs, so one invocation can gate
 BENCH_router.json (the 71-benchmark suite), BENCH_scaling.json (the
-large-device sweep) and BENCH_serve.json (the socket-serve load mixes).
+large-device sweep), BENCH_fidelity.json (codar vs codar-fid),
+BENCH_paper.json (the paper's figures) and BENCH_serve.json (the
+socket-serve load mixes).
 Each baseline chooses its own gated fields via a top-level
 "gated_fields" array; baselines without one gate the routing-quality
 trio (swaps, makespan, cycles). Gated fields are deterministic by
@@ -116,7 +118,8 @@ def main(argv):
             print(f"  {line}")
         print("\nIf this change is intentional, regenerate the baseline(s) "
               "with the matching bench binary (bench_router_throughput / "
-              "bench_runtime_scaling / bench_serve_load).")
+              "bench_runtime_scaling / bench_fidelity / bench_paper / "
+              "bench_serve_load).")
         return 1
 
     print(f"OK: {total_benchmarks} benchmarks across {checked_pairs} "

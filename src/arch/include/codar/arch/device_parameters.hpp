@@ -3,7 +3,7 @@
 // The Table I survey: per-technology device parameters (available gates,
 // fidelities, durations, coherence times). This is reference data the
 // paper reports, backing the duration presets and the noise models;
-// bench_table1_device_params reprints it.
+// bench_paper reprints it.
 
 #include <string>
 #include <vector>

@@ -2,8 +2,7 @@
 
 // The driver behind the `codar` binary, exposed as a library so the
 // integration tests can exercise exactly what the CLI runs. The one-circuit
-// pipeline (route_circuit + RouteReport + to_json) lives in report.hpp;
-// this header adds the batch fan-out (run_batch: a job list over a thread
+// wrapper (route_circuit + to_json) lives in report.hpp; this header adds the batch fan-out (run_batch: a job list over a thread
 // pool, share-nothing per job, results in input order regardless of thread
 // count) and the full single/batch CLI entry point.
 
@@ -21,7 +20,7 @@ namespace codar::cli {
 /// concurrency). Jobs are claimed from a shared atomic counter; each worker
 /// builds its own router, so no routing state is shared. The result vector
 /// is indexed like `jobs` — identical output for any thread count.
-std::vector<RouteReport> run_batch(
+std::vector<pipeline::RouteReport> run_batch(
     const std::vector<workloads::BenchmarkSpec>& jobs,
     const arch::Device& device, const Options& opts);
 

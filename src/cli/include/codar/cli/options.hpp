@@ -21,11 +21,6 @@
 
 namespace codar::cli {
 
-/// Raised on malformed command lines; `what()` is the message to print
-/// (the caller appends the usage text). Shared with the pipeline layer so
-/// registry lookups and knob hooks throw the same type the CLI catches.
-using UsageError = pipeline::UsageError;
-
 /// The routing-relevant core (router/mapping names, knobs, verify,
 /// peephole) is the library-level RoutingSpec; Options adds the CLI's
 /// I/O and presentation fields on top.
@@ -34,7 +29,7 @@ struct Options : pipeline::RoutingSpec {
   std::string batch_dir;            ///< --batch DIR: route every *.qasm in DIR.
   bool suite = false;               ///< --suite: route the built-in suite.
 
-  std::string device = "tokyo";     ///< --device SPEC (see device_registry).
+  std::string device = "tokyo";     ///< --device SPEC (DeviceRegistry).
 
   int threads = 0;                  ///< --threads N; 0 = hardware concurrency.
   bool timing = false;              ///< --timing: stage wall times in the JSON.
@@ -48,7 +43,9 @@ struct Options : pipeline::RoutingSpec {
   bool help = false;                ///< --help.
 };
 
-/// Parses argv (excluding argv[0]). Throws UsageError on malformed input.
+/// Parses argv (excluding argv[0]). Throws pipeline::UsageError on
+/// malformed input; `what()` is the message to print (the caller appends
+/// the usage text).
 Options parse_args(const std::vector<std::string>& args);
 
 /// Shared option plumbing for every subcommand: tries to consume one

@@ -20,18 +20,14 @@
 
 namespace codar::cli {
 
-/// Everything the driver reports about one routed circuit — the pipeline's
-/// report type, re-exported under its historical CLI name.
-using RouteReport = pipeline::RouteReport;
-
 /// Routes one circuit on `device` per `opts` (router, mapping, knobs,
 /// verify) through a freshly resolved pipeline::Pipeline. Never throws for
 /// routing/verification problems — failures (including unknown router or
 /// mapping names) land in `error`. `keep_qasm` controls whether
 /// routed_qasm is rendered.
-RouteReport route_circuit(const ir::Circuit& circuit,
-                          const arch::Device& device, const Options& opts,
-                          bool keep_qasm);
+pipeline::RouteReport route_circuit(const ir::Circuit& circuit,
+                                    const arch::Device& device,
+                                    const Options& opts, bool keep_qasm);
 
 /// Writes `s` as a JSON string literal (quoted, escaped) to `out`.
 void append_json_string(std::ostream& out, std::string_view s);
@@ -39,10 +35,11 @@ void append_json_string(std::ostream& out, std::string_view s);
 /// JSON object for one report (stable key order, integers only; the
 /// nondeterministic route_us/stage_us fields appear only under
 /// opts.timing).
-std::string to_json(const RouteReport& report, const Options& opts);
+std::string to_json(const pipeline::RouteReport& report,
+                    const Options& opts);
 
 /// JSON array over all reports plus a summary object.
-std::string to_json(const std::vector<RouteReport>& reports,
+std::string to_json(const std::vector<pipeline::RouteReport>& reports,
                     const Options& opts);
 
 }  // namespace codar::cli

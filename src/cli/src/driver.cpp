@@ -9,16 +9,16 @@
 #include <ostream>
 #include <thread>
 
-#include "codar/cli/device_registry.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/registry.hpp"
 #include "codar/qasm/parser.hpp"
 
 namespace codar::cli {
 
-std::vector<RouteReport> run_batch(
+std::vector<pipeline::RouteReport> run_batch(
     const std::vector<workloads::BenchmarkSpec>& jobs,
     const arch::Device& device, const Options& opts) {
-  std::vector<RouteReport> results(jobs.size());
+  std::vector<pipeline::RouteReport> results(jobs.size());
   if (jobs.empty()) return results;
   int threads = opts.threads > 0
                     ? opts.threads
@@ -72,7 +72,7 @@ void write_text(const std::string& path, const std::string& text,
 
 int run_single(const Options& opts, const arch::Device& device,
                std::ostream& out, std::ostream& err) {
-  RouteReport report;
+  pipeline::RouteReport report;
   try {
     // Load failures get the same JSON error report as in batch mode (so
     // scripts can rely on the stats output existing, and exit 1 means
@@ -96,10 +96,10 @@ int run_many(const Options& opts, const arch::Device& device,
              std::ostream& out, std::ostream& err) {
   std::vector<workloads::BenchmarkSpec> jobs;
   // Jobs that already failed at load time, keyed by output position.
-  std::vector<std::optional<RouteReport>> preloaded;
+  std::vector<std::optional<pipeline::RouteReport>> preloaded;
 
   auto add_file = [&](const std::filesystem::path& path) {
-    RouteReport failure;
+    pipeline::RouteReport failure;
     failure.name = path.filename().string();
     try {
       ir::Circuit circuit = qasm::parse_file(path.string());
@@ -134,10 +134,11 @@ int run_many(const Options& opts, const arch::Device& device,
     for (const std::string& input : opts.inputs) add_file(input);
   }
 
-  const std::vector<RouteReport> routed = run_batch(jobs, device, opts);
+  const std::vector<pipeline::RouteReport> routed =
+      run_batch(jobs, device, opts);
 
   // Merge routed results back into input order around the load failures.
-  std::vector<RouteReport> reports;
+  std::vector<pipeline::RouteReport> reports;
   reports.reserve(preloaded.size());
   std::size_t next_routed = 0;
   for (auto& slot : preloaded) {
@@ -151,7 +152,7 @@ int run_many(const Options& opts, const arch::Device& device,
   write_text(opts.stats_path, to_json(reports, opts), out);
   const std::size_t failed = static_cast<std::size_t>(
       std::count_if(reports.begin(), reports.end(),
-                    [](const RouteReport& r) { return !r.ok(); }));
+                    [](const pipeline::RouteReport& r) { return !r.ok(); }));
   err << reports.size() - failed << "/" << reports.size() << " circuits "
       << "routed on " << opts.device << " with " << opts.router
       << (failed ? " (FAILURES above)" : "") << "\n";
@@ -165,7 +166,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   Options opts;
   try {
     opts = parse_args(args);
-  } catch (const UsageError& e) {
+  } catch (const pipeline::UsageError& e) {
     err << "error: " << e.what() << "\n\n" << usage();
     return 2;
   }
@@ -174,7 +175,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     return 0;
   }
   if (opts.list_devices) {
-    for (const DeviceEntry& entry : device_catalog()) {
+    for (const pipeline::DeviceEntry& entry :
+         pipeline::DeviceRegistry::instance().entries()) {
       out << entry.spec << "\t" << entry.description << "\n";
     }
     return 0;
@@ -184,7 +186,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     // fingerprint the serve route cache keys on. scripts/
     // check_device_files.sh diffs two runs of this to pin determinism.
     try {
-      const arch::Device device = make_device(opts.describe_device);
+      const arch::Device device = pipeline::DeviceRegistry::instance().make(
+          opts.describe_device);
       char fp[32];
       std::snprintf(fp, sizeof(fp), "0x%016llx",
                     static_cast<unsigned long long>(device.fingerprint()));
@@ -220,7 +223,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     return 0;
   }
   try {
-    const arch::Device device = make_device(opts.device);
+    const arch::Device device =
+        pipeline::DeviceRegistry::instance().make(opts.device);
     if (!opts.batch_dir.empty() || opts.suite || opts.inputs.size() > 1) {
       return run_many(opts, device, out, err);
     }

@@ -18,14 +18,14 @@ bool parse_routing_flag(Options& opts, const std::string& arg,
     opts.mapping = pipeline::MappingRegistry::instance().at(value()).name;
   } else if (arg == "--threads" || arg == "-j") {
     opts.threads = static_cast<int>(pipeline::knob_int(arg, value()));
-    if (opts.threads < 0) throw UsageError("--threads must be >= 0");
+    if (opts.threads < 0) throw pipeline::UsageError("--threads must be >= 0");
   } else if (arg == "--set") {
     // Free-form knob for externally registered passes (see
     // RoutingSpec::extras); built-in knobs have dedicated flags.
     const std::string kv = value();
     const std::size_t eq = kv.find('=');
     if (eq == std::string::npos || eq == 0) {
-      throw UsageError("--set expects KEY=VALUE, got '" + kv + "'");
+      throw pipeline::UsageError("--set expects KEY=VALUE, got '" + kv + "'");
     }
     opts.set_extra(kv.substr(0, eq), kv.substr(eq + 1));
   } else if (arg == "--distance-oracle") {
@@ -37,7 +37,7 @@ bool parse_routing_flag(Options& opts, const std::string& arg,
     try {
       arch::set_default_distance_policy(arch::parse_distance_policy(value()));
     } catch (const std::invalid_argument& e) {
-      throw UsageError(e.what());
+      throw pipeline::UsageError(e.what());
     }
   } else if (arg == "--no-verify") {
     opts.verify = false;
@@ -62,7 +62,7 @@ Options parse_args(const std::vector<std::string>& args) {
     const std::string& arg = args[i];
     auto value = [&]() -> std::string {
       if (i + 1 >= args.size()) {
-        throw UsageError(arg + " expects a value");
+        throw pipeline::UsageError(arg + " expects a value");
       }
       return args[++i];
     };
@@ -87,7 +87,7 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (arg == "--stats") {
       opts.stats_path = value();
     } else if (!arg.empty() && arg[0] == '-') {
-      throw UsageError("unknown flag '" + arg + "'");
+      throw pipeline::UsageError("unknown flag '" + arg + "'");
     } else {
       opts.inputs.push_back(arg);
     }
@@ -100,14 +100,15 @@ Options parse_args(const std::vector<std::string>& args) {
                     static_cast<int>(!opts.batch_dir.empty()) +
                     static_cast<int>(opts.suite);
   if (modes == 0) {
-    throw UsageError("nothing to route: give .qasm files, --batch DIR, "
-                     "or --suite");
+    throw pipeline::UsageError(
+        "nothing to route: give .qasm files, --batch DIR, or --suite");
   }
   if (modes > 1) {
-    throw UsageError("pick one mode: positional files, --batch, or --suite");
+    throw pipeline::UsageError(
+        "pick one mode: positional files, --batch, or --suite");
   }
   if (!opts.output_path.empty() && opts.inputs.size() != 1) {
-    throw UsageError("-o/--output requires exactly one input file");
+    throw pipeline::UsageError("-o/--output requires exactly one input file");
   }
   return opts;
 }

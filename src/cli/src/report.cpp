@@ -31,22 +31,22 @@ void append_json_string(std::ostream& out, std::string_view s) {
   out << common::json_quote(s);
 }
 
-RouteReport route_circuit(const ir::Circuit& circuit,
-                          const arch::Device& device, const Options& opts,
-                          bool keep_qasm) {
+pipeline::RouteReport route_circuit(const ir::Circuit& circuit,
+                                    const arch::Device& device,
+                                    const Options& opts, bool keep_qasm) {
   try {
     return pipeline::Pipeline(device, opts).run(circuit, keep_qasm);
   } catch (const std::exception& e) {
     // Pipeline construction failed (unknown router/mapping name): report
     // it the same way a routing failure is reported.
-    RouteReport report;
+    pipeline::RouteReport report;
     report.name = circuit.name();
     report.error = e.what();
     return report;
   }
 }
 
-std::string to_json(const RouteReport& r, const Options& opts) {
+std::string to_json(const pipeline::RouteReport& r, const Options& opts) {
   std::ostringstream out;
   out << "{\"name\": ";
   append_json_string(out, r.name);
@@ -87,7 +87,7 @@ std::string to_json(const RouteReport& r, const Options& opts) {
   return out.str();
 }
 
-std::string to_json(const std::vector<RouteReport>& reports,
+std::string to_json(const std::vector<pipeline::RouteReport>& reports,
                     const Options& opts) {
   std::size_t failed = 0;
   std::size_t swaps = 0;

@@ -8,9 +8,6 @@
 // nesting-depth cap so hostile request lines cannot overflow the parser
 // stack. Numbers keep their raw source token alongside the double, so
 // request ids round-trip byte-exactly into responses.
-//
-// Lived in src/service until PR 5; codar/service/json.hpp remains as a
-// compatibility shim aliasing these names.
 
 #include <stdexcept>
 #include <string>

@@ -2,9 +2,8 @@
 
 // The calibrated fidelity cost model: maps a (routed circuit, device,
 // schedule) triple to per-gate success probabilities and an aggregate
-// estimated success probability (ESP). Unlike schedule::estimate_success
-// (kind-level fidelities, one global coherence time), this model resolves
-// every gate through Device::fidelity() — so per-qubit/per-edge
+// estimated success probability (ESP). The model resolves every gate
+// through Device::fidelity() — so per-qubit/per-edge
 // calibration and the SWAP = edge-2q³ convention shape the estimate — and
 // charges decoherence only over each qubit's *idle* windows of the ASAP
 // schedule (time spent inside a gate is already priced into that gate's

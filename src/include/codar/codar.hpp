@@ -51,9 +51,8 @@
 #include "codar/layout/initial_mapping.hpp"
 #include "codar/layout/layout.hpp"
 
-// Duration-weighted scheduling and success-rate models.
+// Duration-weighted scheduling.
 #include "codar/schedule/scheduler.hpp"
-#include "codar/schedule/success.hpp"
 #include "codar/schedule/timeline.hpp"
 
 // Simulators (statevector, density matrix, noise).
@@ -83,6 +82,7 @@
 #include "codar/workloads/suite.hpp"
 
 // The unified compilation API: passes, registries, pipeline.
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/pipeline.hpp"
 #include "codar/pipeline/registry.hpp"
 #include "codar/pipeline/routing_pass.hpp"
@@ -93,7 +93,6 @@
 #include "codar/store/report_codec.hpp"
 
 // Application layers: the CLI driver library and the serve service.
-#include "codar/cli/device_registry.hpp"
 #include "codar/cli/driver.hpp"
 #include "codar/cli/options.hpp"
 #include "codar/cli/report.hpp"

@@ -1,8 +1,8 @@
 // The built-in device catalog as DeviceRegistry entries: the paper's four
 // evaluation architectures (plus the unit-test bow-tie) with the aliases
 // people actually type, the generic lattice generators, the extra
-// architectures, and the `file:` JSON device loader. Moved here from
-// cli/device_registry.cpp so every front end shares one catalog.
+// architectures, and the `file:` JSON device loader. Every front end
+// shares this one catalog.
 
 #include <charconv>
 #include <string>

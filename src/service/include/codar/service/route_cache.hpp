@@ -33,8 +33,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "codar/cli/report.hpp"
 #include "codar/common/thread_annotations.hpp"
+#include "codar/pipeline/pipeline.hpp"
 #include "codar/store/log_store.hpp"
 
 namespace codar::service {
@@ -88,14 +88,14 @@ class RouteCache {
   /// it, stores it (memory + disk) and returns it. Concurrent calls with
   /// the same key do the work once (single-flight). `hit`, when non-null,
   /// is set to true iff the report was produced without invoking `route`.
-  cli::RouteReport get_or_route(
-      const CacheKey& key, const std::function<cli::RouteReport()>& route,
+  pipeline::RouteReport get_or_route(
+      const CacheKey& key, const std::function<pipeline::RouteReport()>& route,
       bool* hit = nullptr);
 
   /// Inserts an entry into the memory tier without touching any counter —
   /// warm-start preloading at serve boot. Evictions still count (they are
   /// real budget pressure).
-  void preload(const CacheKey& key, const cli::RouteReport& report);
+  void preload(const CacheKey& key, const pipeline::RouteReport& report);
 
   CacheCounters counters() const;
 
@@ -106,12 +106,12 @@ class RouteCache {
   std::size_t byte_budget() const { return byte_budget_; }
 
   /// Approximate resident size of one report (struct + string storage).
-  static std::size_t report_bytes(const cli::RouteReport& report);
+  static std::size_t report_bytes(const pipeline::RouteReport& report);
 
  private:
   struct Entry {
     CacheKey key;
-    cli::RouteReport report;
+    pipeline::RouteReport report;
     std::size_t bytes = 0;
     std::size_t hits = 0;
   };
@@ -122,7 +122,7 @@ class RouteCache {
     common::Mutex m;
     std::condition_variable_any cv;
     bool ready CODAR_GUARDED_BY(m) = false;
-    cli::RouteReport report CODAR_GUARDED_BY(m);
+    pipeline::RouteReport report CODAR_GUARDED_BY(m);
   };
 
   struct KeyHash {
@@ -148,7 +148,8 @@ class RouteCache {
   const Shard& shard_for(const CacheKey& key) const;
   /// Inserts under the shard lock, then evicts LRU tails over budget.
   void insert_locked(Shard& shard, const CacheKey& key,
-                     const cli::RouteReport& report) CODAR_REQUIRES(shard.m);
+                     const pipeline::RouteReport& report)
+      CODAR_REQUIRES(shard.m);
 
   std::size_t byte_budget_;
   std::size_t shard_budget_;

@@ -74,7 +74,7 @@ struct ServeOptions {
 /// Accepts every routing flag of the batch CLI as a request default, plus
 /// --cache-bytes / --cache-shards / --cache-dir / --cache-disk-bytes /
 /// --warm-start / --listen / --max-inflight / --idle-timeout-ms /
-/// --max-line-bytes. Throws cli::UsageError.
+/// --max-line-bytes. Throws pipeline::UsageError.
 ServeOptions parse_serve_args(const std::vector<std::string>& args);
 
 /// The `codar serve --help` text.

@@ -6,9 +6,9 @@
 
 #include "codar/arch/device_json.hpp"
 #include "codar/common/fnv.hpp"
+#include "codar/common/json.hpp"
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/registry.hpp"
-#include "codar/service/json.hpp"
 
 namespace codar::service {
 
@@ -16,17 +16,17 @@ namespace {
 
 [[noreturn]] void bad(const std::string& what) { throw ProtocolError(what); }
 
-const std::string& require_string(const Json& v, const char* key) {
+const std::string& require_string(const common::Json& v, const char* key) {
   if (!v.is_string()) bad(std::string("'") + key + "' must be a string");
   return v.as_string();
 }
 
-bool require_bool(const Json& v, const char* key) {
+bool require_bool(const common::Json& v, const char* key) {
   if (!v.is_bool()) bad(std::string("'") + key + "' must be a boolean");
   return v.as_bool();
 }
 
-long long require_int(const Json& v, const char* key) {
+long long require_int(const common::Json& v, const char* key) {
   if (!v.is_number()) bad(std::string("'") + key + "' must be an integer");
   const double d = v.as_number();
   if (d != std::floor(d) || std::abs(d) > 9.0e15) {
@@ -35,7 +35,7 @@ long long require_int(const Json& v, const char* key) {
   return static_cast<long long>(d);
 }
 
-double require_finite(const Json& v, const char* key) {
+double require_finite(const common::Json& v, const char* key) {
   if (!v.is_number()) bad(std::string("'") + key + "' must be a number");
   const double d = v.as_number();
   if (!std::isfinite(d)) {
@@ -60,7 +60,7 @@ const std::string& registered_name(const Registry& registry,
 /// Applies one member of the request's "options" object. Mirrors the CLI
 /// flags one-to-one (see parse_routing_flag); key names use underscores.
 void apply_option(cli::Options& opts, const std::string& key,
-                  const Json& v) {
+                  const common::Json& v) {
   if (key == "initial") {
     opts.mapping = registered_name(pipeline::MappingRegistry::instance(),
                                    require_string(v, "initial"));
@@ -118,10 +118,10 @@ void apply_option(cli::Options& opts, const std::string& key,
 
 ServeRequest parse_request(const std::string& line,
                            const cli::Options& defaults) {
-  Json doc = [&] {
+  common::Json doc = [&] {
     try {
-      return Json::parse(line);
-    } catch (const JsonError& e) {
+      return common::Json::parse(line);
+    } catch (const common::JsonError& e) {
       throw ProtocolError(e.what());
     }
   }();
@@ -145,17 +145,17 @@ ServeRequest parse_request(const std::string& line,
 
   ServeRequest req;
   req.opts = defaults;
-  if (const Json* id = doc.find("id")) {
+  if (const common::Json* id = doc.find("id")) {
     if (id->is_number()) {
       req.id_json = id->raw_number();
     } else if (id->is_string()) {
-      req.id_json = json_quote(id->as_string());
+      req.id_json = common::json_quote(id->as_string());
     } else if (!id->is_null()) {
       bad("'id' must be a number or string");
     }
   }
 
-  if (const Json* cmd = doc.find("cmd")) {
+  if (const common::Json* cmd = doc.find("cmd")) {
     const std::string& name = require_string(*cmd, "cmd");
     if (name != "stats") bad("unknown cmd '" + name + "'");
     // Same strict-schema policy as route requests: a control line
@@ -170,18 +170,18 @@ ServeRequest parse_request(const std::string& line,
     return req;
   }
 
-  const Json* qasm = doc.find("qasm");
-  const Json* suite = doc.find("suite_name");
+  const common::Json* qasm = doc.find("qasm");
+  const common::Json* suite = doc.find("suite_name");
   if ((qasm != nullptr) == (suite != nullptr)) {
     bad("route requests need exactly one of 'qasm' or 'suite_name'");
   }
   if (qasm) req.qasm = require_string(*qasm, "qasm");
   if (suite) req.suite_name = require_string(*suite, "suite_name");
 
-  if (const Json* name = doc.find("name")) {
+  if (const common::Json* name = doc.find("name")) {
     req.name = require_string(*name, "name");
   }
-  if (const Json* device = doc.find("device")) {
+  if (const common::Json* device = doc.find("device")) {
     if (device->is_string()) {
       // Trust boundary: request lines are untrusted, and some registry
       // entries (the `file:` JSON loader) read the server's filesystem.
@@ -212,11 +212,11 @@ ServeRequest parse_request(const std::string& line,
       bad("'device' must be a spec string or a device object");
     }
   }
-  if (const Json* router = doc.find("router")) {
+  if (const common::Json* router = doc.find("router")) {
     req.opts.router = registered_name(pipeline::RouterRegistry::instance(),
                                       require_string(*router, "router"));
   }
-  if (const Json* options = doc.find("options")) {
+  if (const common::Json* options = doc.find("options")) {
     if (!options->is_object()) bad("'options' must be an object");
     for (const auto& [key, value] : options->members()) {
       apply_option(req.opts, key, value);

@@ -38,9 +38,10 @@ const RouteCache::Shard& RouteCache::shard_for(const CacheKey& key) const {
   return shards_[static_cast<std::size_t>(KeyHash{}(key)) % shards_.size()];
 }
 
-std::size_t RouteCache::report_bytes(const cli::RouteReport& report) {
-  std::size_t bytes = sizeof(cli::RouteReport) + report.name.capacity() +
-                      report.error.capacity() + report.routed_qasm.capacity();
+std::size_t RouteCache::report_bytes(const pipeline::RouteReport& report) {
+  std::size_t bytes = sizeof(pipeline::RouteReport) +
+                      report.name.capacity() + report.error.capacity() +
+                      report.routed_qasm.capacity();
   bytes += report.stage_us.capacity() * sizeof(pipeline::StageTiming);
   for (const pipeline::StageTiming& t : report.stage_us) {
     bytes += t.stage.capacity();
@@ -49,7 +50,7 @@ std::size_t RouteCache::report_bytes(const cli::RouteReport& report) {
 }
 
 void RouteCache::insert_locked(Shard& shard, const CacheKey& key,
-                               const cli::RouteReport& report) {
+                               const pipeline::RouteReport& report) {
   Entry entry{key, report, report_bytes(report), /*hits=*/0};
   // An entry that alone exceeds the shard budget is rejected up front
   // (counted as an eviction): admitting it first would flush every warm
@@ -71,7 +72,8 @@ void RouteCache::insert_locked(Shard& shard, const CacheKey& key,
   }
 }
 
-void RouteCache::preload(const CacheKey& key, const cli::RouteReport& report) {
+void RouteCache::preload(const CacheKey& key,
+                         const pipeline::RouteReport& report) {
   if (byte_budget_ == 0) return;
   Shard& shard = shard_for(key);
   const common::MutexLock lock(shard.m);
@@ -79,8 +81,8 @@ void RouteCache::preload(const CacheKey& key, const cli::RouteReport& report) {
   insert_locked(shard, key, report);
 }
 
-cli::RouteReport RouteCache::get_or_route(
-    const CacheKey& key, const std::function<cli::RouteReport()>& route,
+pipeline::RouteReport RouteCache::get_or_route(
+    const CacheKey& key, const std::function<pipeline::RouteReport()>& route,
     bool* hit) {
   if (byte_budget_ == 0) {
     Shard& shard = shard_for(key);
@@ -129,7 +131,7 @@ cli::RouteReport RouteCache::get_or_route(
 
   // Single-flight owner: probe the disk tier, then route on a double
   // miss — all outside every shard lock (the store has its own mutex).
-  cli::RouteReport report;
+  pipeline::RouteReport report;
   bool from_disk = false;
   if (store_ != nullptr) {
     std::string payload;

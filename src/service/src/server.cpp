@@ -18,12 +18,12 @@
 
 #include <unistd.h>
 
-#include "codar/cli/device_registry.hpp"
-#include "codar/common/thread_annotations.hpp"
 #include "codar/cli/report.hpp"
+#include "codar/common/json.hpp"
+#include "codar/common/thread_annotations.hpp"
 #include "codar/ir/circuit.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/qasm/parser.hpp"
-#include "codar/service/json.hpp"
 #include "codar/service/protocol.hpp"
 #include "codar/service/route_cache.hpp"
 #include "codar/service/transport.hpp"
@@ -40,8 +40,8 @@ std::size_t parse_size(const std::string& flag, const std::string& value) {
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), result);
   if (ec != std::errc() || ptr != value.data() + value.size()) {
-    throw cli::UsageError(flag + " expects a non-negative integer, got '" +
-                          value + "'");
+    throw pipeline::UsageError(flag + " expects a non-negative integer, got '" +
+                               value + "'");
   }
   return result;
 }
@@ -193,7 +193,7 @@ class Server {
     if (opts.warm_start > 0) {
       for (const auto& [fp, payload] :
            store_->recent_entries(opts.warm_start)) {
-        cli::RouteReport report;
+        pipeline::RouteReport report;
         // Undecodable payloads (format-version bump) are simply not
         // preloaded; lookups fall back to routing them.
         if (!store::decode_report(payload, &report)) continue;
@@ -324,7 +324,7 @@ class Server {
     } catch (const ProtocolError& e) {
       ++errors_;
       respond(conn, "{\"id\": " + best_effort_id(line) + ", \"error\": " +
-                        json_quote(e.what()) + "}");
+                        common::json_quote(e.what()) + "}");
       return;
     }
     if (req.kind == ServeRequest::Kind::kStats) {
@@ -429,7 +429,7 @@ class Server {
   }
 
   std::string process(const ServeRequest& req) {
-    cli::RouteReport report;
+    pipeline::RouteReport report;
     bool cached = false;
     // Resolved before the try block so error responses carry the same
     // name a successful route would (the qasm-parsed name is refined
@@ -503,12 +503,12 @@ class Server {
   /// error responses can be correlated. Falls back to null.
   static std::string best_effort_id(const std::string& line) {
     try {
-      const Json doc = Json::parse(line);
-      if (const Json* id = doc.find("id")) {
+      const common::Json doc = common::Json::parse(line);
+      if (const common::Json* id = doc.find("id")) {
         if (id->is_number()) return id->raw_number();
-        if (id->is_string()) return json_quote(id->as_string());
+        if (id->is_string()) return common::json_quote(id->as_string());
       }
-    } catch (const JsonError&) {
+    } catch (const common::JsonError&) {
       // The line as a whole is not JSON (the usual reason we are here).
       // Scan for an `"id"` member by hand so even a half-garbled request
       // still correlates: accept a number or a string value, nothing else.
@@ -522,14 +522,14 @@ class Server {
         const std::size_t end = line.find('"', pos + 1);
         if (end == std::string::npos) return "null";
         // Re-quote rather than echoing raw bytes back into our JSON.
-        return json_quote(line.substr(pos + 1, end - pos - 1));
+        return common::json_quote(line.substr(pos + 1, end - pos - 1));
       }
       const std::size_t end = line.find_first_not_of("-+.0123456789eE", pos);
       const std::string token =
           line.substr(pos, end == std::string::npos ? end : end - pos);
       try {
-        return Json::parse(token).raw_number();
-      } catch (const JsonError&) {
+        return common::Json::parse(token).raw_number();
+      } catch (const common::JsonError&) {
         return "null";
       }
     }
@@ -552,8 +552,8 @@ class Server {
     // the lock so a cold lookup never stalls other workers. Two racing
     // cold lookups both build; emplace keeps the first, the loser's copy
     // is discarded — cheaper than single-flighting device construction.
-    auto device =
-        std::make_shared<const arch::Device>(cli::make_device(spec));
+    auto device = std::make_shared<const arch::Device>(
+        pipeline::DeviceRegistry::instance().make(spec));
     // Build the lazily constructed distance oracle now, while this thread
     // holds the only reference — workers then only ever read it.
     device->graph.prepare();
@@ -780,7 +780,7 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
     const std::string& arg = args[i];
     auto value = [&]() -> std::string {
       if (i + 1 >= args.size()) {
-        throw cli::UsageError(arg + " expects a value");
+        throw pipeline::UsageError(arg + " expects a value");
       }
       return args[++i];
     };
@@ -795,13 +795,13 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
       // Upper bound before the int cast: 2^32 would truncate to 0 and
       // blow past RouteCache's num_shards >= 1 contract.
       if (shards < 1 || shards > 4096) {
-        throw cli::UsageError("--cache-shards must be in [1, 4096]");
+        throw pipeline::UsageError("--cache-shards must be in [1, 4096]");
       }
       opts.cache_shards = static_cast<int>(shards);
     } else if (arg == "--cache-dir") {
       opts.cache_dir = value();
       if (opts.cache_dir.empty()) {
-        throw cli::UsageError("--cache-dir expects a directory path");
+        throw pipeline::UsageError("--cache-dir expects a directory path");
       }
     } else if (arg == "--cache-disk-bytes") {
       opts.cache_disk_bytes = parse_size(arg, value());
@@ -812,28 +812,28 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
       try {
         parse_listen_spec(opts.listen);  // validate now, fail at parse time
       } catch (const std::invalid_argument& e) {
-        throw cli::UsageError(e.what());
+        throw pipeline::UsageError(e.what());
       }
     } else if (arg == "--max-inflight") {
       const std::size_t n = parse_size(arg, value());
       if (n < 1 || n > (1u << 20)) {
-        throw cli::UsageError("--max-inflight must be in [1, 1048576]");
+        throw pipeline::UsageError("--max-inflight must be in [1, 1048576]");
       }
       opts.max_inflight = n;
     } else if (arg == "--idle-timeout-ms") {
       const std::size_t ms = parse_size(arg, value());
       if (ms > 86400000) {
-        throw cli::UsageError("--idle-timeout-ms must be <= 86400000");
+        throw pipeline::UsageError("--idle-timeout-ms must be <= 86400000");
       }
       opts.idle_timeout_ms = static_cast<int>(ms);
     } else if (arg == "--max-line-bytes") {
       const std::size_t n = parse_size(arg, value());
       if (n < 1024) {
-        throw cli::UsageError("--max-line-bytes must be >= 1024");
+        throw pipeline::UsageError("--max-line-bytes must be >= 1024");
       }
       opts.max_line_bytes = n;
     } else {
-      throw cli::UsageError("unknown serve flag '" + arg + "'");
+      throw pipeline::UsageError("unknown serve flag '" + arg + "'");
     }
   }
   return opts;
@@ -912,7 +912,7 @@ request defaults (overridable per request; same meaning as in batch mode):
 std::unique_ptr<ServerHandle> start_serve(const ServeOptions& opts) {
   // Fail fast on an unknown default device instead of erroring every
   // request.
-  cli::make_device(opts.defaults.device);
+  pipeline::DeviceRegistry::instance().make(opts.defaults.device);
   const ListenSpec spec = parse_listen_spec(opts.listen);
   if (spec.kind == ListenSpec::Kind::kStdio) {
     throw std::invalid_argument(
@@ -928,7 +928,7 @@ int run_serve(const ServeOptions& opts, std::istream& in, std::ostream& out,
     spec = parse_listen_spec(opts.listen);
     // Fail fast on an unknown default device instead of erroring every
     // request.
-    cli::make_device(opts.defaults.device);
+    pipeline::DeviceRegistry::instance().make(opts.defaults.device);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
     return 2;
@@ -953,7 +953,7 @@ int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
   ServeOptions opts;
   try {
     opts = parse_serve_args(args);
-  } catch (const cli::UsageError& e) {
+  } catch (const pipeline::UsageError& e) {
     err << "error: " << e.what() << "\n\n" << serve_usage();
     return 2;
   }

@@ -8,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include "codar/cli/device_registry.hpp"
 #include "codar/cli/driver.hpp"
 #include "codar/cli/options.hpp"
 #include "codar/ir/decompose.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/qasm/parser.hpp"
 #include "codar/qasm/writer.hpp"
 #include "codar/workloads/generators.hpp"
@@ -20,6 +20,12 @@ namespace codar::cli {
 namespace {
 
 namespace fs = std::filesystem;
+using pipeline::RouteReport;
+using pipeline::UsageError;
+
+arch::Device make_device(const std::string& spec) {
+  return pipeline::DeviceRegistry::instance().make(spec);
+}
 
 fs::path temp_dir(const std::string& name) {
   const fs::path dir = fs::path(testing::TempDir()) / name;
@@ -131,8 +137,7 @@ TEST(CliDeviceRegistry, BuildsParameterizedSpecs) {
 }
 
 TEST(CliDeviceRegistry, RejectsBadSpecs) {
-  // UsageError since the move to pipeline::DeviceRegistry — the same type
-  // unknown routers and mappings throw.
+  // The same UsageError type unknown routers and mappings throw.
   EXPECT_THROW(make_device("melbourne"), UsageError);
   EXPECT_THROW(make_device("grid:3"), UsageError);
   EXPECT_THROW(make_device("grid:0x4"), UsageError);

@@ -30,7 +30,7 @@
 #include "codar/arch/device.hpp"
 #include "codar/arch/device_json.hpp"
 #include "codar/arch/distance_oracle.hpp"
-#include "codar/service/json.hpp"
+#include "codar/common/json.hpp"
 #include "codar/service/route_cache.hpp"
 #include "codar/service/server.hpp"
 #include "codar/workloads/suite.hpp"
@@ -61,8 +61,8 @@ service::CacheKey key_for(std::uint64_t i) {
   return service::CacheKey{i, 7, 13};
 }
 
-cli::RouteReport report_for(std::uint64_t i) {
-  cli::RouteReport report;
+pipeline::RouteReport report_for(std::uint64_t i) {
+  pipeline::RouteReport report;
   report.name = "key_" + std::to_string(i);
   return report;
 }
@@ -82,7 +82,7 @@ TEST(RaceStress, RouteCacheSingleFlightStormRoutesEachKeyOnce) {
       const std::uint64_t k =
           static_cast<std::uint64_t>((i + t) % static_cast<int>(kKeys));
       bool hit = false;
-      const cli::RouteReport report = cache.get_or_route(
+      const pipeline::RouteReport report = cache.get_or_route(
           key_for(k),
           [&] {
             ++routes;
@@ -121,7 +121,7 @@ TEST(RaceStress, RouteCacheStaysConsistentUnderEvictionChurn) {
       const std::uint64_t k =
           static_cast<std::uint64_t>((i * 7 + t * 13) %
                                      static_cast<int>(kKeys));
-      const cli::RouteReport report =
+      const pipeline::RouteReport report =
           cache.get_or_route(key_for(k), [&] { return report_for(k); });
       EXPECT_EQ(report.name, "key_" + std::to_string(k));
     }
@@ -268,7 +268,7 @@ TEST(RaceStress, ServeSingleFlightStormOverWorkerPool) {
           "{\"id\": " +
           std::to_string(wave * static_cast<int>(names.size()) +
                          static_cast<int>(c)) +
-          ", \"suite_name\": " + service::json_quote(names[c]) + "}");
+          ", \"suite_name\": " + common::json_quote(names[c]) + "}");
     }
   }
   lines.push_back(R"({"id": "stats", "cmd": "stats"})");
@@ -279,8 +279,8 @@ TEST(RaceStress, ServeSingleFlightStormOverWorkerPool) {
   std::string stats_line;
   std::set<std::string> seen_ids;
   for (const std::string& line : responses) {
-    const service::Json doc = service::Json::parse(line);
-    const service::Json* id = doc.find("id");
+    const common::Json doc = common::Json::parse(line);
+    const common::Json* id = doc.find("id");
     ASSERT_NE(id, nullptr) << line;
     if (id->is_string()) {
       stats_line = line;
@@ -294,7 +294,7 @@ TEST(RaceStress, ServeSingleFlightStormOverWorkerPool) {
   EXPECT_EQ(seen_ids.size(), names.size() * kWaves);
 
   ASSERT_FALSE(stats_line.empty());
-  const service::Json stats = service::Json::parse(stats_line);
+  const common::Json stats = common::Json::parse(stats_line);
   EXPECT_EQ(stats.find("errors")->as_number(), 0.0);
   EXPECT_EQ(stats.find("requests")->as_number(),
             static_cast<double>(names.size() * kWaves));
@@ -334,7 +334,7 @@ TEST(RaceStress, ServeConcurrentInlineDeviceMemoInserts) {
     for (const std::string& device : devices) {
       for (const std::string& name : names) {
         lines.push_back("{\"id\": " + std::to_string(id++) +
-                        ", \"suite_name\": " + service::json_quote(name) +
+                        ", \"suite_name\": " + common::json_quote(name) +
                         ", \"device\": " + device + "}");
       }
     }
@@ -346,7 +346,7 @@ TEST(RaceStress, ServeConcurrentInlineDeviceMemoInserts) {
 
   std::string stats_line;
   for (const std::string& line : responses) {
-    const service::Json doc = service::Json::parse(line);
+    const common::Json doc = common::Json::parse(line);
     if (doc.find("id")->is_string()) {
       stats_line = line;
       continue;
@@ -356,7 +356,7 @@ TEST(RaceStress, ServeConcurrentInlineDeviceMemoInserts) {
   }
 
   ASSERT_FALSE(stats_line.empty());
-  const service::Json stats = service::Json::parse(stats_line);
+  const common::Json stats = common::Json::parse(stats_line);
   EXPECT_EQ(stats.find("errors")->as_number(), 0.0);
   // (device, circuit) pairs route once each; every duplicate wave hits.
   EXPECT_EQ(stats.find("routed")->as_number(),

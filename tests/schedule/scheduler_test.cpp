@@ -64,6 +64,32 @@ TEST(AsapSchedule, ConflictingSwapWaitsForCx) {
   EXPECT_EQ(s.makespan, 8);
 }
 
+TEST(AsapSchedule, PaperFig1WhatIf) {
+  // "T q[2]; CX q[0],q[3]" on the 2x2 lattice (Q0-Q1, Q0-Q2, Q1-Q3,
+  // Q2-Q3), followed by each candidate SWAP and the CX on the pair it
+  // makes adjacent. SWAPs avoiding Q2 run in parallel with T (Fig. 1d);
+  // SWAPs touching Q2 serialize behind it (Fig. 1c).
+  struct Candidate {
+    Qubit a, b;        // the SWAP
+    Qubit cx0, cx3;    // where q[0] and q[3] sit after it
+    int swap_start, cx_start, makespan;
+  };
+  const Candidate candidates[] = {{0, 1, 1, 3, 0, 6, 8},
+                                  {1, 3, 0, 1, 0, 6, 8},
+                                  {0, 2, 2, 3, 1, 7, 9},
+                                  {2, 3, 0, 2, 1, 7, 9}};
+  for (const Candidate& cand : candidates) {
+    Circuit c(4);
+    c.t(2);
+    c.swap(cand.a, cand.b);
+    c.cx(cand.cx0, cand.cx3);
+    const Schedule s = asap_schedule(c, DurationMap());
+    EXPECT_EQ(s.gates[1].start, cand.swap_start) << cand.a << "-" << cand.b;
+    EXPECT_EQ(s.gates[2].start, cand.cx_start) << cand.a << "-" << cand.b;
+    EXPECT_EQ(s.makespan, cand.makespan) << cand.a << "-" << cand.b;
+  }
+}
+
 TEST(AsapSchedule, BarrierSynchronizesAtZeroCost) {
   Circuit c(2);
   c.cx(0, 1);  // 0..2

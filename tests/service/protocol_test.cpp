@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include "codar/service/json.hpp"
+#include "codar/common/json.hpp"
 
 namespace codar::service {
 namespace {
+
+using common::Json;
+using common::JsonError;
+using common::json_quote;
 
 // -- Json -------------------------------------------------------------------
 

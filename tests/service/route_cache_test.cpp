@@ -19,8 +19,10 @@
 namespace codar::service {
 namespace {
 
-cli::RouteReport report_named(const std::string& name, std::size_t swaps) {
-  cli::RouteReport r;
+using pipeline::RouteReport;
+
+RouteReport report_named(const std::string& name, std::size_t swaps) {
+  RouteReport r;
   r.name = name;
   r.swaps = swaps;
   r.verified = true;
@@ -42,7 +44,7 @@ TEST(RouteCache, MissRoutesThenHitsWithoutRouting) {
   };
 
   bool hit = true;
-  cli::RouteReport r = cache.get_or_route(key, route, &hit);
+  RouteReport r = cache.get_or_route(key, route, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(routes, 1);
   EXPECT_EQ(r.swaps, 7u);
@@ -78,7 +80,7 @@ TEST(RouteCache, DistinctKeyComponentsNeverCollide) {
   std::size_t expected = 0;
   for (const CacheKey& k : keys) {
     bool hit = false;
-    const cli::RouteReport r = cache.get_or_route(k, route, &hit);
+    const RouteReport r = cache.get_or_route(k, route, &hit);
     EXPECT_TRUE(hit);
     EXPECT_EQ(r.swaps, ++expected);
   }
@@ -121,7 +123,7 @@ TEST(RouteCache, TimingAndPathsDoNotChangeOptionsFingerprint) {
 
 TEST(RouteCache, LruEvictionUnderByteBudget) {
   // Budget for roughly two entries in one shard; the coldest key must go.
-  const cli::RouteReport sample = report_named("x", 0);
+  const RouteReport sample = report_named("x", 0);
   const std::size_t entry_bytes = RouteCache::report_bytes(sample);
   RouteCache cache(2 * entry_bytes + entry_bytes / 2, /*num_shards=*/1);
   auto route = [&] { return sample; };
@@ -152,7 +154,7 @@ TEST(RouteCache, LruEvictionUnderByteBudget) {
 }
 
 TEST(RouteCache, OversizedEntryDoesNotPinTheShard) {
-  cli::RouteReport huge = report_named("huge", 1);
+  RouteReport huge = report_named("huge", 1);
   huge.routed_qasm.assign(1 << 16, 'q');
   RouteCache cache(256, /*num_shards=*/1);
   cache.get_or_route(key_of(1, 0, 0), [&] { return huge; });
@@ -165,14 +167,14 @@ TEST(RouteCache, OversizedEntryDoesNotPinTheShard) {
 TEST(RouteCache, OversizedEntryDoesNotFlushWarmEntries) {
   // An over-budget report must be rejected up front, not admitted and
   // then evicted cold-end-first (which would flush the warm entries).
-  const cli::RouteReport small = report_named("s", 0);
+  const RouteReport small = report_named("s", 0);
   const std::size_t entry_bytes = RouteCache::report_bytes(small);
   RouteCache cache(3 * entry_bytes, /*num_shards=*/1);
   auto route_small = [&] { return small; };
   cache.get_or_route(key_of(1, 0, 0), route_small);
   cache.get_or_route(key_of(2, 0, 0), route_small);
 
-  cli::RouteReport huge = report_named("huge", 1);
+  RouteReport huge = report_named("huge", 1);
   huge.routed_qasm.assign(16 * entry_bytes, 'q');
   cache.get_or_route(key_of(3, 0, 0), [&] { return huge; });
 
@@ -223,7 +225,7 @@ TEST(RouteCache, ConcurrentHitMissCountingIsExact) {
       for (int i = 0; i < kIters; ++i) {
         const std::uint64_t k =
             static_cast<std::uint64_t>(t + i) % kKeys;
-        const cli::RouteReport r = cache.get_or_route(
+        const RouteReport r = cache.get_or_route(
             key_of(k, 0, 0), [&] {
               ++routes;
               return report_named("k", static_cast<std::size_t>(k));
@@ -283,7 +285,7 @@ TEST_F(TieredRouteCacheTest, DiskTierServesAcrossCacheInstances) {
   cache.attach_store(log.get());
   int routes = 0;
   bool hit = false;
-  cli::RouteReport r = cache.get_or_route(
+  RouteReport r = cache.get_or_route(
       key,
       [&] {
         ++routes;
@@ -310,8 +312,8 @@ TEST_F(TieredRouteCacheTest, ErrorReportsAreNotPersisted) {
     auto log = open_store();
     RouteCache cache(1 << 20, /*num_shards=*/1);
     cache.attach_store(log.get());
-    const cli::RouteReport r = cache.get_or_route(
-        key, []() -> cli::RouteReport { throw std::runtime_error("boom"); });
+    const RouteReport r = cache.get_or_route(
+        key, []() -> RouteReport { throw std::runtime_error("boom"); });
     EXPECT_EQ(r.error, "boom");
     EXPECT_EQ(cache.counters().disk_entries, 0u);
   }
@@ -321,7 +323,7 @@ TEST_F(TieredRouteCacheTest, ErrorReportsAreNotPersisted) {
   RouteCache cache(1 << 20, /*num_shards=*/1);
   cache.attach_store(log.get());
   bool hit = true;
-  const cli::RouteReport r =
+  const RouteReport r =
       cache.get_or_route(key, [] { return report_named("fixed", 4); }, &hit);
   EXPECT_FALSE(hit);
   EXPECT_TRUE(r.error.empty());
@@ -341,7 +343,7 @@ TEST_F(TieredRouteCacheTest, PreloadServesFromMemoryWithoutCounters) {
   cache.attach_store(log.get());
   // Warm-start: decode the persisted entries and preload them.
   for (const auto& [fp, payload] : log->recent_entries(16)) {
-    cli::RouteReport report;
+    RouteReport report;
     ASSERT_TRUE(store::decode_report(payload, &report));
     cache.preload(CacheKey{fp.circuit, fp.device, fp.options}, report);
   }
@@ -350,7 +352,7 @@ TEST_F(TieredRouteCacheTest, PreloadServesFromMemoryWithoutCounters) {
   EXPECT_EQ(c.mem_hits, 0u);  // preloading itself counts nothing
 
   bool hit = false;
-  const cli::RouteReport r = cache.get_or_route(
+  const RouteReport r = cache.get_or_route(
       key, [] { return report_named("never", 0); }, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(r.swaps, 5u);

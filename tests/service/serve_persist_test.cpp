@@ -19,12 +19,15 @@
 
 #include <gtest/gtest.h>
 
-#include "codar/service/json.hpp"
+#include "codar/common/json.hpp"
 #include "codar/store/log_store.hpp"
 #include "codar/workloads/suite.hpp"
 
 namespace codar::service {
 namespace {
+
+using common::Json;
+using common::json_quote;
 
 namespace fs = std::filesystem;
 

@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
-#include "codar/cli/device_registry.hpp"
 #include "codar/cli/driver.hpp"
 #include "codar/cli/report.hpp"
-#include "codar/service/json.hpp"
+#include "codar/common/json.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/service/server.hpp"
 #include "codar/service/transport.hpp"
 #include "codar/workloads/suite.hpp"
@@ -28,6 +28,11 @@
 
 namespace codar::service {
 namespace {
+
+using common::Json;
+using common::json_quote;
+using pipeline::RouteReport;
+using pipeline::UsageError;
 
 /// A blocking NDJSON test client over one transport connection.
 class Client {
@@ -115,8 +120,9 @@ TEST(ServeSocket, EightClientStormIsByteIdenticalToBatch) {
 
   const std::vector<workloads::BenchmarkSpec> suite =
       workloads::benchmark_suite();
-  const arch::Device device = cli::make_device("enfield");
-  const std::vector<cli::RouteReport> reference =
+  const arch::Device device =
+      pipeline::DeviceRegistry::instance().make("enfield");
+  const std::vector<RouteReport> reference =
       cli::run_batch(suite, device, sopts.defaults);
 
   constexpr int kClients = 8;
@@ -186,10 +192,11 @@ TEST(ServeSocket, UnixDomainSocketServesConcurrentClients) {
   const auto handle = start_serve(sopts);
   EXPECT_EQ(handle->endpoint(), sopts.listen);
 
-  const arch::Device device = cli::make_device("enfield");
+  const arch::Device device =
+      pipeline::DeviceRegistry::instance().make("enfield");
   const std::vector<workloads::BenchmarkSpec> suite =
       workloads::benchmark_suite();
-  const std::vector<cli::RouteReport> reference =
+  const std::vector<RouteReport> reference =
       cli::run_batch(suite, device, sopts.defaults);
 
   std::vector<std::thread> clients;
@@ -414,14 +421,14 @@ TEST(ServeSocketArgs, ParsesTransportFlags) {
 
   // Bad specs fail at parse time, not at bind time.
   EXPECT_THROW(parse_serve_args({"--listen", "carrier-pigeon:coop"}),
-               cli::UsageError);
+               UsageError);
   EXPECT_THROW(parse_serve_args({"--listen", "tcp:host:99999"}),
-               cli::UsageError);
-  EXPECT_THROW(parse_serve_args({"--max-inflight", "0"}), cli::UsageError);
+               UsageError);
+  EXPECT_THROW(parse_serve_args({"--max-inflight", "0"}), UsageError);
   EXPECT_THROW(parse_serve_args({"--max-line-bytes", "10"}),
-               cli::UsageError);
+               UsageError);
   EXPECT_THROW(parse_serve_args({"--idle-timeout-ms", "99999999999"}),
-               cli::UsageError);
+               UsageError);
 
   EXPECT_NE(serve_usage().find("--listen"), std::string::npos);
   EXPECT_NE(serve_usage().find("--max-inflight"), std::string::npos);

@@ -14,13 +14,18 @@
 #include <gtest/gtest.h>
 
 #include "codar/arch/device_json.hpp"
-#include "codar/cli/device_registry.hpp"
 #include "codar/cli/driver.hpp"
-#include "codar/service/json.hpp"
+#include "codar/common/json.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/workloads/suite.hpp"
 
 namespace codar::service {
 namespace {
+
+using common::Json;
+using common::json_quote;
+using pipeline::RouteReport;
+using pipeline::UsageError;
 
 /// Feeds `lines` to run_serve and returns the response lines.
 std::vector<std::string> serve(const ServeOptions& opts,
@@ -99,8 +104,9 @@ TEST(Serve, SuiteRoundTripIsByteIdenticalToBatchAndWarmRerunRoutesNothing) {
   const std::map<std::string, std::string> index = by_id(responses);
 
   // Reference: the one-shot batch driver over the same jobs and options.
-  const arch::Device device = cli::make_device("enfield");
-  const std::vector<cli::RouteReport> reference =
+  const arch::Device device =
+      pipeline::DeviceRegistry::instance().make("enfield");
+  const std::vector<RouteReport> reference =
       cli::run_batch(suite, device, sopts.defaults);
   for (std::size_t i = 0; i < suite.size(); ++i) {
     const std::string expected = cli::to_json(reference[i], sopts.defaults);
@@ -302,13 +308,13 @@ TEST(ServeArgs, ParseAndUsage) {
   EXPECT_EQ(opts.cache_shards, 2);
   EXPECT_FALSE(opts.defaults.verify);
 
-  EXPECT_THROW(parse_serve_args({"--cache-bytes"}), cli::UsageError);
-  EXPECT_THROW(parse_serve_args({"--cache-bytes", "lots"}), cli::UsageError);
-  EXPECT_THROW(parse_serve_args({"--cache-shards", "0"}), cli::UsageError);
+  EXPECT_THROW(parse_serve_args({"--cache-bytes"}), UsageError);
+  EXPECT_THROW(parse_serve_args({"--cache-bytes", "lots"}), UsageError);
+  EXPECT_THROW(parse_serve_args({"--cache-shards", "0"}), UsageError);
   // 2^32 would truncate to int 0 past a naive >= 1 check.
   EXPECT_THROW(parse_serve_args({"--cache-shards", "4294967296"}),
-               cli::UsageError);
-  EXPECT_THROW(parse_serve_args({"positional.qasm"}), cli::UsageError);
+               UsageError);
+  EXPECT_THROW(parse_serve_args({"positional.qasm"}), UsageError);
 
   EXPECT_NE(serve_usage().find("--cache-bytes"), std::string::npos);
 }
