@@ -6,17 +6,24 @@
 //    diagonal families, CX control/target structure, ...) with an exact
 //    unitary-matrix fallback for pairs the rules don't cover. The rules are
 //    cross-validated against the matrix ground truth by property tests.
+//    Fallback answers are memoized per thread in a direct-mapped table of
+//    kCommuteMemoSlots entries, allocated on a thread's first fallback and
+//    keyed exactly (kinds, parameter bits, operand-overlap pattern).
 //
 //  * `commutative_front` — the CF set of a pending gate sequence: gate g_k
 //    is a commutative-forward gate iff it commutes with every earlier
 //    pending gate (Definition 1). Only pairs sharing a qubit need checking;
 //    a scan window caps the cost on very long circuits.
 
+#include <cstddef>
 #include <vector>
 
 #include "codar/ir/circuit.hpp"
 
 namespace codar::core {
+
+/// Slots in each thread's memo of the matrix fallback (a power of two).
+inline constexpr std::size_t kCommuteMemoSlots = 4096;
 
 /// True when the two gates commute (AB = BA). Measure and Barrier commute
 /// only with gates on disjoint qubits (conservative: a barrier is an

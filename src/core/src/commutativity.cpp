@@ -1,6 +1,10 @@
 #include "codar/core/commutativity.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "codar/ir/unitary.hpp"
@@ -110,6 +114,73 @@ std::optional<bool> symbolic_commute(const Gate& a, const Gate& b) {
   return std::nullopt;
 }
 
+/// Everything ir::unitaries_commute reads from a pair: both kinds and
+/// arities, the parameter bit patterns, and which operand of `a` each
+/// operand of `b` equals. Qubit labels themselves do not matter — the
+/// joint space is a's operands followed by b's unshared ones.
+struct CommuteKey {
+  std::uint64_t shape = 0;
+  std::array<std::uint64_t, 2 * Gate::kMaxParams> params{};
+
+  friend bool operator==(const CommuteKey&, const CommuteKey&) = default;
+};
+
+CommuteKey commute_key(const Gate& a, const Gate& b) {
+  CommuteKey key;
+  key.shape = static_cast<std::uint64_t>(a.kind()) |
+              static_cast<std::uint64_t>(b.kind()) << 8 |
+              static_cast<std::uint64_t>(a.num_qubits()) << 16 |
+              static_cast<std::uint64_t>(b.num_qubits()) << 20;
+  for (int j = 0; j < b.num_qubits(); ++j) {
+    std::uint64_t match = Gate::kMaxQubits;  // no operand of a
+    for (int i = 0; i < a.num_qubits(); ++i) {
+      if (a.qubit(i) == b.qubit(j)) match = static_cast<std::uint64_t>(i);
+    }
+    key.shape |= match << (24 + 2 * j);
+  }
+  for (int i = 0; i < a.num_params(); ++i) {
+    key.params[static_cast<std::size_t>(i)] =
+        std::bit_cast<std::uint64_t>(a.param(i));
+  }
+  for (int i = 0; i < b.num_params(); ++i) {
+    key.params[static_cast<std::size_t>(Gate::kMaxParams + i)] =
+        std::bit_cast<std::uint64_t>(b.param(i));
+  }
+  return key;
+}
+
+std::size_t commute_slot(const CommuteKey& key) {
+  std::uint64_t h = key.shape;
+  for (const std::uint64_t word : key.params) {
+    h = (h ^ word) * 0x9e3779b97f4a7c15u;
+    h ^= h >> 29;
+  }
+  return static_cast<std::size_t>(h) & (kCommuteMemoSlots - 1);
+}
+
+/// ir::unitaries_commute behind a direct-mapped, thread-local memo: the
+/// slot compares the whole key, so a hash collision only evicts. Routing
+/// asks the same few thousand pairs hundreds of thousands of times.
+bool memoized_unitaries_commute(const Gate& a, const Gate& b) {
+  struct Slot {
+    CommuteKey key;
+    bool filled = false;
+    bool commutes = false;
+  };
+  // Allocated on the first fallback, so threads that never get here (and
+  // every thread's TLS block) stay small.
+  thread_local std::unique_ptr<Slot[]> table;
+  if (!table) table = std::make_unique<Slot[]>(kCommuteMemoSlots);
+  const CommuteKey key = commute_key(a, b);
+  Slot& slot = table[commute_slot(key)];
+  if (!slot.filled || !(slot.key == key)) {
+    slot.key = key;
+    slot.commutes = ir::unitaries_commute(a, b);
+    slot.filled = true;
+  }
+  return slot.commutes;
+}
+
 }  // namespace
 
 bool gates_commute(const Gate& a, const Gate& b) {
@@ -120,7 +191,7 @@ bool gates_commute(const Gate& a, const Gate& b) {
   // may move past an overlapping gate.
   if (!a_unitary || !b_unitary) return false;
   if (const auto fast = symbolic_commute(a, b)) return *fast;
-  return ir::unitaries_commute(a, b);
+  return memoized_unitaries_commute(a, b);
 }
 
 std::vector<std::size_t> commutative_front(

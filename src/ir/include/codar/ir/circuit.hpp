@@ -21,6 +21,10 @@ class Circuit {
   /// default-constructed placeholder).
   explicit Circuit(int num_qubits, std::string name = "");
 
+  /// Creates a circuit holding `gates` in order; every gate's qubits must
+  /// lie in [0, num_qubits). Takes the vector over without copying it.
+  Circuit(int num_qubits, std::string name, std::vector<Gate> gates);
+
   int num_qubits() const { return num_qubits_; }
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }

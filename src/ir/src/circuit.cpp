@@ -11,6 +11,16 @@ Circuit::Circuit(int num_qubits, std::string name)
   CODAR_EXPECTS(num_qubits >= 0);
 }
 
+Circuit::Circuit(int num_qubits, std::string name, std::vector<Gate> gates)
+    : Circuit(num_qubits, std::move(name)) {
+  for (const Gate& g : gates) {
+    for (const Qubit q : g.qubits()) {
+      CODAR_EXPECTS(q >= 0 && q < num_qubits_);
+    }
+  }
+  gates_ = std::move(gates);
+}
+
 void Circuit::add(const Gate& g) {
   for (const Qubit q : g.qubits()) {
     CODAR_EXPECTS(q >= 0 && q < num_qubits_);

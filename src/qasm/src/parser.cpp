@@ -130,6 +130,26 @@ struct RegisterInfo {
   int size;
 };
 
+/// Largest qubit total a program may declare: the device-JSON qubit cap,
+/// so no parsed circuit is wider than any device it could be routed on.
+constexpr int kMaxTotalQubits = 65536;
+
+/// The value of a size or index token as an int, checked on the double
+/// (before any cast) to be an integer in [lo, hi]. Runs once per operand,
+/// so messages are built only on the error path.
+int integer_token(const Token& tok, int lo, int hi, const char* what) {
+  if (!(tok.number == std::floor(tok.number))) {
+    throw QasmError(std::string(what) + " must be an integer", tok.line,
+                    tok.column);
+  }
+  if (tok.number < lo || tok.number > hi) {
+    throw QasmError(std::string(what) + " out of range [" +
+                        std::to_string(lo) + ", " + std::to_string(hi) + "]",
+                    tok.line, tok.column);
+  }
+  return static_cast<int>(tok.number);
+}
+
 /// One statement inside a user gate-definition body.
 struct BodyOp {
   std::string gate_name;
@@ -149,11 +169,11 @@ struct GateDef {
 class Parser {
  public:
   Parser(std::string_view source, std::string name)
-      : tokens_(tokenize(source)), circuit_(0, std::move(name)) {}
+      : tokens_(tokenize(source)), name_(std::move(name)) {}
 
   Circuit run() {
     parse_program();
-    return std::move(circuit_);
+    return finalize();
   }
 
  private:
@@ -188,13 +208,12 @@ class Parser {
       expect(TokenKind::kSemicolon, "';'");
     }
     while (!check(TokenKind::kEof)) parse_statement();
-    finalize();
   }
 
-  void finalize() {
-    // The circuit was built incrementally against a growing register; width
-    // was fixed up front by pre-scanning qreg declarations in
-    // parse_statement, so nothing to do here beyond sanity checks.
+  /// The register width is final only after the last qreg, so gates are
+  /// collected flat and the circuit is built once, at that width.
+  Circuit finalize() {
+    return Circuit(total_qubits_, std::move(name_), std::move(gates_));
   }
 
   void parse_statement() {
@@ -232,18 +251,17 @@ class Parser {
     const Token size_tok = expect(TokenKind::kNumber, "register size");
     expect(TokenKind::kRBracket, "']'");
     expect(TokenKind::kSemicolon, "';'");
-    const int size = static_cast<int>(size_tok.number);
-    if (size <= 0) throw QasmError("register size must be positive",
-                                   size_tok.line, size_tok.column);
+    const int size =
+        integer_token(size_tok, 1, kMaxTotalQubits, "register size");
+    if (size > kMaxTotalQubits - total_qubits_)
+      throw QasmError("qubit total exceeds the limit of " +
+                          std::to_string(kMaxTotalQubits),
+                      size_tok.line, size_tok.column);
     if (qregs_.count(name.text) != 0)
       throw QasmError("duplicate qreg '" + name.text + "'", name.line,
                       name.column);
     qregs_[name.text] = RegisterInfo{total_qubits_, size};
     total_qubits_ += size;
-    // Rebuild the circuit container at the new width, preserving gates.
-    Circuit widened(total_qubits_, circuit_.name());
-    for (const Gate& g : circuit_.gates()) widened.add(g);
-    circuit_ = std::move(widened);
   }
 
   void parse_creg() {
@@ -253,7 +271,8 @@ class Parser {
     const Token size_tok = expect(TokenKind::kNumber, "register size");
     expect(TokenKind::kRBracket, "']'");
     expect(TokenKind::kSemicolon, "';'");
-    cregs_[name.text] = static_cast<int>(size_tok.number);
+    cregs_[name.text] =
+        integer_token(size_tok, 1, kMaxTotalQubits, "register size");
   }
 
   void parse_opaque() {
@@ -326,7 +345,7 @@ class Parser {
     // Wide barriers become a chained fence of overlapping <=3-qubit Gate
     // records; the shared qubit links the chain, so ordering is transitive.
     if (qubits.size() <= Gate::kMaxQubits) {
-      circuit_.add(Gate::barrier(qubits));
+      gates_.push_back(Gate::barrier(qubits));
       return;
     }
     for (std::size_t i = 0; i + 1 < qubits.size(); i += 2) {
@@ -334,7 +353,7 @@ class Parser {
       std::vector<Qubit> link(qubits.begin() + static_cast<std::ptrdiff_t>(i),
                               qubits.begin() +
                                   static_cast<std::ptrdiff_t>(last) + 1);
-      circuit_.add(Gate::barrier(link));
+      gates_.push_back(Gate::barrier(link));
     }
   }
 
@@ -343,15 +362,17 @@ class Parser {
     const std::vector<Qubit> sources = parse_argument_expansion();
     expect(TokenKind::kArrow, "'->'");
     const Token creg_name = expect(TokenKind::kIdentifier, "creg name");
-    if (cregs_.count(creg_name.text) == 0)
+    const auto creg = cregs_.find(creg_name.text);
+    if (creg == cregs_.end())
       throw QasmError("unknown creg '" + creg_name.text + "'", creg_name.line,
                       creg_name.column);
     if (match(TokenKind::kLBracket)) {
-      expect(TokenKind::kNumber, "bit index");
+      integer_token(expect(TokenKind::kNumber, "bit index"), 0,
+                    creg->second - 1, "bit index");
       expect(TokenKind::kRBracket, "']'");
     }
     expect(TokenKind::kSemicolon, "';'");
-    for (const Qubit q : sources) circuit_.measure(q);
+    for (const Qubit q : sources) gates_.push_back(Gate::measure(q));
   }
 
   /// Parses one argument (`reg` or `reg[i]`) and returns the qubit indices
@@ -366,10 +387,7 @@ class Parser {
     if (match(TokenKind::kLBracket)) {
       const Token idx_tok = expect(TokenKind::kNumber, "qubit index");
       expect(TokenKind::kRBracket, "']'");
-      const int idx = static_cast<int>(idx_tok.number);
-      if (idx < 0 || idx >= reg.size)
-        throw QasmError("qubit index out of range", idx_tok.line,
-                        idx_tok.column);
+      const int idx = integer_token(idx_tok, 0, reg.size - 1, "qubit index");
       return {static_cast<Qubit>(reg.offset + idx)};
     }
     std::vector<Qubit> all(static_cast<std::size_t>(reg.size));
@@ -443,7 +461,7 @@ class Parser {
       for (std::size_t j = 0; j < i; ++j)
         if (operands[i] == operands[j])
           throw QasmError("duplicate qubit operand", line, col);
-    circuit_.add(Gate(b.kind, operands, params));
+    gates_.emplace_back(b.kind, operands, params);
   }
 
   void expand_gate_def(const GateDef& def, const std::vector<double>& params,
@@ -582,7 +600,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
-  Circuit circuit_;
+  std::string name_;
+  std::vector<Gate> gates_;
   int total_qubits_ = 0;
   int expansion_depth_ = 0;
   std::map<std::string, RegisterInfo> qregs_;

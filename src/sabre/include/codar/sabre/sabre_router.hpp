@@ -52,6 +52,8 @@ class SabreRouter {
 
   /// SABRE's reverse-traversal initial mapping: starts from a seeded random
   /// layout and refines it with `rounds` forward+backward routing passes.
+  /// The passes only move the layout (no routed circuit is built), and the
+  /// result equals taking each full route()'s final layout in turn.
   /// The paper's evaluation hands this same mapping to both routers.
   layout::Layout initial_mapping(const ir::Circuit& circuit, int rounds = 3,
                                  std::uint64_t seed = 17) const;

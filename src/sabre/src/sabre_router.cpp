@@ -1,7 +1,9 @@
 #include "codar/sabre/sabre_router.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "codar/arch/distance_oracle.hpp"
 #include "codar/ir/dag.hpp"
@@ -19,30 +21,91 @@ using ir::Qubit;
 
 constexpr std::size_t kMaxIterations = 50'000'000;
 
-/// Working state of one SABRE route() invocation.
+bool is_routed_two_qubit(const Gate& g) {
+  return g.num_qubits() == 2 && g.kind() != GateKind::kBarrier;
+}
+
+/// Advances a stamp epoch, clearing the marks on wrap-around so a stale
+/// mark can never equal the new epoch.
+std::uint32_t next_epoch(std::vector<std::uint32_t>& marks,
+                         std::uint32_t& epoch) {
+  if (++epoch == 0) {
+    std::fill(marks.begin(), marks.end(), 0u);
+    epoch = 1;
+  }
+  return epoch;
+}
+
+/// One gate of F or E as the scorer sees it: its logical operands, its
+/// distance under the current layout, and its links in the per-logical-
+/// qubit incidence lists (next[k] continues the list of operand k).
+struct Term {
+  Qubit logical[2];
+  Qubit physical[2];
+  int distance;
+  bool in_front;
+  int next[2];
+};
+
+/// Buffers reused by every route of one pass — the initial mapping runs
+/// 2 x rounds of them — so a SWAP step allocates nothing after warm-up.
+struct Scratch {
+  std::vector<int> unresolved;
+  std::vector<int> front;
+  std::vector<double> decay;
+  std::vector<std::uint32_t> gate_mark;  ///< E's BFS visited stamps.
+  std::uint32_t gate_epoch = 0;
+  std::vector<int> queue;
+  std::vector<std::uint32_t> edge_mark;  ///< Candidate dedup, by edge id.
+  std::uint32_t edge_epoch = 0;
+  std::vector<std::pair<Qubit, Qubit>> candidates;
+  std::vector<Term> terms;  ///< F's gates, then E's.
+  std::vector<int> head;    ///< Per logical qubit: first term, or -1.
+};
+
+/// Working state of one SABRE traversal. With `out == nullptr` it only
+/// moves the layout (what the reverse-traversal initial mapping reads);
+/// otherwise it also emits the routed circuit.
 class SabreRun {
  public:
   SabreRun(const arch::Device& device, const SabreConfig& config,
-           const ir::Circuit& input, const layout::Layout& initial)
-      : device_(device),
+           const ir::Circuit& input, const ir::DependencyDag& dag,
+           layout::Layout& pi, ir::Circuit* out, Scratch& scratch)
+      : graph_(device.graph),
         config_(config),
         dist_(device.graph.oracle()),
+        dense_(dist_.dense_matrix()),
+        stride_(dist_.dense_stride()),
         input_(input),
-        dag_(input),
-        pi_(initial),
-        initial_(initial),
-        decay_(static_cast<std::size_t>(device.graph.num_qubits()), 1.0),
-        out_(device.graph.num_qubits(), input.name() + "_sabre") {
-    unresolved_.resize(input.size());
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      unresolved_[i] = dag_.in_degree(static_cast<int>(i));
-      if (unresolved_[i] == 0) front_.push_back(static_cast<int>(i));
+        dag_(dag),
+        pi_(pi),
+        out_(out),
+        s_(scratch) {
+    const std::size_t n = input.size();
+    s_.unresolved.resize(n);
+    s_.front.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      s_.unresolved[i] = dag_.in_degree(static_cast<int>(i));
+      if (s_.unresolved[i] == 0) s_.front.push_back(static_cast<int>(i));
     }
+    s_.decay.assign(static_cast<std::size_t>(graph_.num_qubits()), 1.0);
+    if (s_.gate_mark.size() != n) {
+      s_.gate_mark.assign(n, 0u);
+      s_.gate_epoch = 0;
+    }
+    if (s_.edge_mark.size() != graph_.num_edges()) {
+      s_.edge_mark.assign(graph_.num_edges(), 0u);
+      s_.edge_epoch = 0;
+    }
+    s_.terms.clear();
+    s_.head.assign(static_cast<std::size_t>(pi.num_logical()), -1);
   }
 
-  RoutingResult run() {
+  /// Routes to completion, updating the layout (and the circuit) in place;
+  /// returns the SWAP counts.
+  RouterStats run() {
     std::size_t iterations = 0;
-    while (!front_.empty()) {
+    while (!s_.front.empty()) {
       if (++iterations > kMaxIterations) {
         throw std::runtime_error(
             "SabreRouter: iteration cap exceeded (livelock?)");
@@ -58,138 +121,191 @@ class SabreRun {
       }
       ++since_progress_;
     }
-    RoutingResult result{std::move(out_), std::move(initial_), std::move(pi_),
-                         stats_};
-    result.stats.barriers = input_.barrier_count();
-    result.stats.gates_routed = input_.size() - result.stats.barriers;
-    return result;
+    return stats_;
   }
 
  private:
+  int distance(Qubit a, Qubit b) const {
+    if (dense_ != nullptr) {
+      return dense_[static_cast<std::size_t>(a) * stride_ +
+                    static_cast<std::size_t>(b)];
+    }
+    return dist_.distance(a, b);
+  }
+
   bool executable(const Gate& g) const {
-    if (g.num_qubits() != 2 || g.kind() == GateKind::kBarrier) return true;
-    return device_.graph.connected(pi_.physical(g.qubit(0)),
-                                   pi_.physical(g.qubit(1)));
+    if (!is_routed_two_qubit(g)) return true;
+    return graph_.connected(pi_.physical(g.qubit(0)),
+                            pi_.physical(g.qubit(1)));
   }
 
   /// Retires every executable front gate; returns true when any retired.
   bool execute_ready() {
+    std::vector<int>& front = s_.front;
     bool any = false;
-    for (std::size_t i = 0; i < front_.size();) {
-      const int gi = front_[i];
+    for (std::size_t i = 0; i < front.size();) {
+      const int gi = front[i];
       const Gate& g = input_.gate(static_cast<std::size_t>(gi));
       if (!executable(g)) {
         ++i;
         continue;
       }
-      out_.add(g.remapped([&](Qubit lq) { return pi_.physical(lq); }));
-      front_[i] = front_.back();
-      front_.pop_back();
+      if (out_ != nullptr) {
+        out_->add(g.remapped([&](Qubit lq) { return pi_.physical(lq); }));
+      }
+      front[i] = front.back();
+      front.pop_back();
       for (const int succ : dag_.successors(gi)) {
-        if (--unresolved_[static_cast<std::size_t>(succ)] == 0) {
-          front_.push_back(succ);
+        if (--s_.unresolved[static_cast<std::size_t>(succ)] == 0) {
+          front.push_back(succ);
         }
       }
       any = true;
     }
     if (any) {
-      std::fill(decay_.begin(), decay_.end(), 1.0);
+      std::fill(s_.decay.begin(), s_.decay.end(), 1.0);
       decay_rounds_ = 0;
+      terms_stale_ = true;
     }
     return any;
   }
 
   /// Candidate SWAPs: coupling edges incident to the physical positions of
-  /// the front gates' qubits.
-  std::vector<std::pair<Qubit, Qubit>> candidates() const {
-    std::vector<std::pair<Qubit, Qubit>> edges;
-    for (const int gi : front_) {
+  /// the front gates' qubits, in first-seen order.
+  void collect_candidates() {
+    s_.candidates.clear();
+    const std::uint32_t epoch = next_epoch(s_.edge_mark, s_.edge_epoch);
+    for (const int gi : s_.front) {
       const Gate& g = input_.gate(static_cast<std::size_t>(gi));
       for (const Qubit lq : g.qubits()) {
         const Qubit p = pi_.physical(lq);
-        for (const Qubit nb : device_.graph.neighbors(p)) {
-          const std::pair<Qubit, Qubit> edge{std::min(p, nb),
-                                             std::max(p, nb)};
-          if (std::find(edges.begin(), edges.end(), edge) == edges.end()) {
-            edges.push_back(edge);
-          }
+        const std::vector<Qubit>& nbs = graph_.neighbors(p);
+        const std::span<const int> ids = graph_.incident_edge_ids(p);
+        for (std::size_t k = 0; k < nbs.size(); ++k) {
+          std::uint32_t& mark = s_.edge_mark[static_cast<std::size_t>(ids[k])];
+          if (mark == epoch) continue;
+          mark = epoch;
+          s_.candidates.emplace_back(std::min(p, nbs[k]), std::max(p, nbs[k]));
         }
       }
     }
-    return edges;
   }
 
-  /// Extended set E: the next 2-qubit gates reachable from the front layer
-  /// through the DAG, capped at config.extended_set_size.
-  std::vector<int> extended_set() const {
-    std::vector<int> ext;
-    std::vector<int> queue = front_;
-    std::vector<bool> seen(input_.size(), false);
-    for (const int gi : queue) seen[static_cast<std::size_t>(gi)] = true;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      if (ext.size() >= static_cast<std::size_t>(config_.extended_set_size))
-        break;
-      for (const int succ : dag_.successors(queue[head])) {
-        if (seen[static_cast<std::size_t>(succ)]) continue;
-        seen[static_cast<std::size_t>(succ)] = true;
-        queue.push_back(succ);
-        const Gate& g = input_.gate(static_cast<std::size_t>(succ));
-        if (g.num_qubits() == 2 && g.kind() != GateKind::kBarrier) {
-          ext.push_back(succ);
-          if (ext.size() >=
-              static_cast<std::size_t>(config_.extended_set_size))
-            break;
+  void add_term(int gi, bool in_front) {
+    const Gate& g = input_.gate(static_cast<std::size_t>(gi));
+    const int t = static_cast<int>(s_.terms.size());
+    Term term{{g.qubit(0), g.qubit(1)}, {-1, -1}, 0, in_front, {-1, -1}};
+    for (int k = 0; k < 2; ++k) {
+      int& head = s_.head[static_cast<std::size_t>(term.logical[k])];
+      term.next[k] = head;
+      head = t;
+    }
+    s_.terms.push_back(term);
+  }
+
+  /// Rebuilds the scored gate set: F's 2-qubit gates, then the extended
+  /// set E — the next 2-qubit gates reachable from F through the DAG,
+  /// capped at config.extended_set_size. Both depend only on the front, so
+  /// this runs once per retirement, not once per SWAP.
+  void rebuild_terms() {
+    for (const Term& t : s_.terms) {
+      s_.head[static_cast<std::size_t>(t.logical[0])] = -1;
+      s_.head[static_cast<std::size_t>(t.logical[1])] = -1;
+    }
+    s_.terms.clear();
+    // Everything executable was already retired, so every remaining front
+    // gate is a blocked 2-qubit gate.
+    for (const int gi : s_.front) {
+      if (is_routed_two_qubit(input_.gate(static_cast<std::size_t>(gi)))) {
+        add_term(gi, true);
+      }
+    }
+    front_terms_ = s_.terms.size();
+
+    const auto cap = static_cast<std::size_t>(config_.extended_set_size);
+    std::size_t ext = 0;
+    const std::uint32_t epoch = next_epoch(s_.gate_mark, s_.gate_epoch);
+    s_.queue.assign(s_.front.begin(), s_.front.end());
+    for (const int gi : s_.queue) {
+      s_.gate_mark[static_cast<std::size_t>(gi)] = epoch;
+    }
+    for (std::size_t head = 0; head < s_.queue.size() && ext < cap; ++head) {
+      for (const int succ : dag_.successors(s_.queue[head])) {
+        std::uint32_t& mark = s_.gate_mark[static_cast<std::size_t>(succ)];
+        if (mark == epoch) continue;
+        mark = epoch;
+        s_.queue.push_back(succ);
+        if (is_routed_two_qubit(input_.gate(static_cast<std::size_t>(succ)))) {
+          add_term(succ, false);
+          if (++ext >= cap) break;
         }
       }
     }
-    return ext;
+    terms_stale_ = false;
   }
 
-  double distance_after(const Gate& g, Qubit sa, Qubit sb) const {
+  /// The integer distance change of every F/E term on logical qubit `lq`
+  /// under SWAP (sa, sb), skipping terms that also act on `skip` (already
+  /// counted through that qubit's list).
+  void reprice(Qubit lq, Qubit skip, Qubit sa, Qubit sb,
+               std::int64_t& front_sum, std::int64_t& ext_sum) const {
+    if (lq < 0) return;
     auto moved = [&](Qubit p) {
       if (p == sa) return sb;
       if (p == sb) return sa;
       return p;
     };
-    const Qubit pa = moved(pi_.physical(g.qubit(0)));
-    const Qubit pb = moved(pi_.physical(g.qubit(1)));
-    return static_cast<double>(dist_.distance(pa, pb));
+    for (int t = s_.head[static_cast<std::size_t>(lq)]; t >= 0;) {
+      const Term& term = s_.terms[static_cast<std::size_t>(t)];
+      const int side = term.logical[0] == lq ? 0 : 1;
+      if (skip < 0 || (term.logical[0] != skip && term.logical[1] != skip)) {
+        const int delta =
+            distance(moved(term.physical[0]), moved(term.physical[1])) -
+            term.distance;
+        (term.in_front ? front_sum : ext_sum) += delta;
+      }
+      t = term.next[side];
+    }
   }
 
+  /// Scores every candidate as decay · (mean F distance + W · mean E
+  /// distance) after the SWAP and applies the strictly best (first-seen
+  /// on ties). Distances are integers, so the sums are exact in int64 and
+  /// `double(sum) / size` equals the sequential double sum bit for bit;
+  /// each candidate re-prices only the terms on its two logical qubits.
   void best_swap() {
-    const auto edges = candidates();
-    CODAR_ENSURES(!edges.empty());
-    const std::vector<int> ext = extended_set();
-    // Front 2-qubit gates (everything executable was already retired, so
-    // every remaining front gate is a blocked 2-qubit gate).
-    std::vector<int> front2q;
-    for (const int gi : front_) {
-      const Gate& g = input_.gate(static_cast<std::size_t>(gi));
-      if (g.num_qubits() == 2 && g.kind() != GateKind::kBarrier) {
-        front2q.push_back(gi);
-      }
+    collect_candidates();
+    CODAR_ENSURES(!s_.candidates.empty());
+    if (terms_stale_) rebuild_terms();
+    CODAR_ENSURES(front_terms_ > 0);
+
+    std::int64_t front_base = 0;
+    std::int64_t ext_base = 0;
+    for (Term& t : s_.terms) {
+      t.physical[0] = pi_.physical(t.logical[0]);
+      t.physical[1] = pi_.physical(t.logical[1]);
+      t.distance = distance(t.physical[0], t.physical[1]);
+      (t.in_front ? front_base : ext_base) += t.distance;
     }
-    CODAR_ENSURES(!front2q.empty());
+    const auto front_size = static_cast<double>(front_terms_);
+    const std::size_t ext_terms = s_.terms.size() - front_terms_;
+    const auto ext_size = static_cast<double>(ext_terms);
 
     double best_score = 0.0;
     std::pair<Qubit, Qubit> best{-1, -1};
-    for (const auto& [sa, sb] : edges) {
-      double front_cost = 0.0;
-      for (const int gi : front2q) {
-        front_cost +=
-            distance_after(input_.gate(static_cast<std::size_t>(gi)), sa, sb);
-      }
-      front_cost /= static_cast<double>(front2q.size());
-      double ext_cost = 0.0;
-      if (!ext.empty()) {
-        for (const int gi : ext) {
-          ext_cost += distance_after(input_.gate(static_cast<std::size_t>(gi)),
-                                     sa, sb);
-        }
-        ext_cost /= static_cast<double>(ext.size());
-      }
-      const double decay = std::max(decay_[static_cast<std::size_t>(sa)],
-                                    decay_[static_cast<std::size_t>(sb)]);
+    for (const auto& [sa, sb] : s_.candidates) {
+      std::int64_t front_sum = front_base;
+      std::int64_t ext_sum = ext_base;
+      const Qubit la = pi_.logical(sa);
+      const Qubit lb = pi_.logical(sb);
+      reprice(la, -1, sa, sb, front_sum, ext_sum);
+      reprice(lb, la, sa, sb, front_sum, ext_sum);
+      const double front_cost = static_cast<double>(front_sum) / front_size;
+      const double ext_cost =
+          ext_terms == 0 ? 0.0 : static_cast<double>(ext_sum) / ext_size;
+      const double decay =
+          std::max(s_.decay[static_cast<std::size_t>(sa)],
+                   s_.decay[static_cast<std::size_t>(sb)]);
       const double score =
           decay * (front_cost + config_.extended_weight * ext_cost);
       if (best.first < 0 || score < best_score) {
@@ -203,16 +319,14 @@ class SabreRun {
   /// Anti-livelock: move the oldest front gate one step along a shortest
   /// path (same guarantee as CODAR's escape).
   void escape_swap() {
-    const int gi = *std::min_element(front_.begin(), front_.end());
+    const int gi = *std::min_element(s_.front.begin(), s_.front.end());
     const Gate& g = input_.gate(static_cast<std::size_t>(gi));
     CODAR_ENSURES(g.num_qubits() == 2);
     const Qubit pa = pi_.physical(g.qubit(0));
     const Qubit pb = pi_.physical(g.qubit(1));
     Qubit step = -1;
-    for (const Qubit nb : device_.graph.neighbors(pa)) {
-      if (step < 0 || dist_.distance(nb, pb) < dist_.distance(step, pb)) {
-        step = nb;
-      }
+    for (const Qubit nb : graph_.neighbors(pa)) {
+      if (step < 0 || distance(nb, pb) < distance(step, pb)) step = nb;
     }
     CODAR_ENSURES(step >= 0);
     apply_swap(pa, step);
@@ -220,30 +334,31 @@ class SabreRun {
   }
 
   void apply_swap(Qubit a, Qubit b) {
-    out_.swap(a, b);
+    if (out_ != nullptr) out_->swap(a, b);
     pi_.swap_physical(a, b);
-    decay_[static_cast<std::size_t>(a)] += config_.decay_delta;
-    decay_[static_cast<std::size_t>(b)] += config_.decay_delta;
+    s_.decay[static_cast<std::size_t>(a)] += config_.decay_delta;
+    s_.decay[static_cast<std::size_t>(b)] += config_.decay_delta;
     ++stats_.swaps_inserted;
     if (++decay_rounds_ >= config_.decay_reset_interval) {
-      std::fill(decay_.begin(), decay_.end(), 1.0);
+      std::fill(s_.decay.begin(), s_.decay.end(), 1.0);
       decay_rounds_ = 0;
     }
   }
 
-  const arch::Device& device_;
+  const arch::CouplingGraph& graph_;
   const SabreConfig& config_;
   const arch::DistanceOracle& dist_;  ///< Cached distance backend.
+  const int* dense_;                  ///< Flat V x V matrix, when dense.
+  std::size_t stride_;
   const ir::Circuit& input_;
-  ir::DependencyDag dag_;
-  layout::Layout pi_;
-  layout::Layout initial_;
-  std::vector<int> unresolved_;
-  std::vector<int> front_;
-  std::vector<double> decay_;
+  const ir::DependencyDag& dag_;
+  layout::Layout& pi_;
+  ir::Circuit* out_;
+  Scratch& s_;
+  bool terms_stale_ = true;  ///< F changed since the terms were built.
+  std::size_t front_terms_ = 0;
   int decay_rounds_ = 0;
   int since_progress_ = 0;
-  ir::Circuit out_;
   RouterStats stats_;
 };
 
@@ -262,8 +377,15 @@ RoutingResult SabreRouter::route(const ir::Circuit& circuit,
   CODAR_EXPECTS(circuit.num_qubits() <= device_.graph.num_qubits());
   CODAR_EXPECTS(initial.num_logical() == circuit.num_qubits());
   CODAR_EXPECTS(initial.num_physical() == device_.graph.num_qubits());
-  SabreRun run(device_, config_, circuit, initial);
-  return run.run();
+  const ir::DependencyDag dag(circuit);
+  Scratch scratch;
+  layout::Layout pi = initial;
+  ir::Circuit out(device_.graph.num_qubits(), circuit.name() + "_sabre");
+  RouterStats stats =
+      SabreRun(device_, config_, circuit, dag, pi, &out, scratch).run();
+  stats.barriers = circuit.barrier_count();
+  stats.gates_routed = circuit.size() - stats.barriers;
+  return RoutingResult{std::move(out), initial, std::move(pi), stats};
 }
 
 RoutingResult SabreRouter::route(const ir::Circuit& circuit) const {
@@ -275,12 +397,19 @@ layout::Layout SabreRouter::initial_mapping(const ir::Circuit& circuit,
                                             int rounds,
                                             std::uint64_t seed) const {
   CODAR_EXPECTS(rounds >= 1);
+  CODAR_EXPECTS(ir::is_two_qubit_lowered(circuit));
+  CODAR_EXPECTS(circuit.num_qubits() <= device_.graph.num_qubits());
   layout::Layout layout = layout::random_layout(
       circuit.num_qubits(), device_.graph.num_qubits(), seed);
   const ir::Circuit reversed = circuit.reversed();
+  const ir::DependencyDag forward_dag(circuit);
+  const ir::DependencyDag reverse_dag(reversed);
+  Scratch scratch;
   for (int r = 0; r < rounds; ++r) {
-    layout = route(circuit, layout).final;
-    layout = route(reversed, layout).final;
+    SabreRun(device_, config_, circuit, forward_dag, layout, nullptr, scratch)
+        .run();
+    SabreRun(device_, config_, reversed, reverse_dag, layout, nullptr, scratch)
+        .run();
   }
   return layout;
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <numbers>
+#include <random>
+#include <thread>
+#include <vector>
+
 #include "codar/ir/unitary.hpp"
 
 namespace codar::core {
@@ -66,7 +71,9 @@ TEST(GatesCommute, SwapNeverCommutesWithOverlapExceptSpecialCases) {
 
 /// Property check: the symbolic rule table must agree with the exact
 /// unitary ground truth for every pair of alphabet gates under every qubit
-/// overlap pattern on three wires.
+/// overlap pattern on three wires. The matrix fallback is memoized per
+/// thread, so each pair is asked twice — a miss, then a hit — and both
+/// answers must match.
 class CommutativityGroundTruth : public ::testing::Test {
  protected:
   static std::vector<Gate> gates_on(Qubit a, Qubit b) {
@@ -82,31 +89,151 @@ class CommutativityGroundTruth : public ::testing::Test {
         Gate::ch(a, b),      Gate::crz(a, b, 0.8),
         Gate::cu1(a, b, 0.5), Gate::rzz(a, b, 0.6),
         Gate::swap(a, b),
+        // Tolerance edge: within 1e-9 of the identity (up to phase), so
+        // the memo key must keep them apart from their neighbours.
+        Gate::rz(a, 1e-12),  Gate::rz(a, 2.0 * std::numbers::pi),
+        Gate::u1(a, 0.0),
     };
+  }
+
+  /// Every ordered pair of gates_on() under each overlap pattern over
+  /// wires {0,1,2}: identical, shared first, shared second, the two
+  /// chains ({1,2}, {2,0}) and reversed ({1,0}) — every way two 2-qubit
+  /// gates can overlap.
+  static std::vector<std::pair<Gate, Gate>> overlap_pairs() {
+    const std::vector<std::pair<std::pair<Qubit, Qubit>,
+                                std::pair<Qubit, Qubit>>> patterns = {
+        {{0, 1}, {0, 1}}, {{0, 1}, {0, 2}}, {{0, 1}, {2, 1}},
+        {{0, 1}, {1, 2}}, {{0, 1}, {2, 0}}, {{0, 1}, {1, 0}},
+    };
+    std::vector<std::pair<Gate, Gate>> pairs;
+    for (const auto& [qa, qb] : patterns) {
+      for (const Gate& ga : gates_on(qa.first, qa.second)) {
+        for (const Gate& gb : gates_on(qb.first, qb.second)) {
+          pairs.emplace_back(ga, gb);
+        }
+      }
+    }
+    return pairs;
+  }
+
+  /// Seeded 1-qubit pairs on one wire that the rule table leaves to the
+  /// matrix fallback, each a distinct memo key of one shape (u3 against
+  /// rx), so only the parameter bits tell them apart. Every other u3 is an
+  /// X rotation in disguise (phi = -pi/2, lambda = pi/2) and commutes; the
+  /// rest are random and do not.
+  static std::vector<std::pair<Gate, Gate>> fallback_pairs(std::size_t count) {
+    std::mt19937_64 rng(20200720);
+    std::uniform_real_distribution<double> angle(-4.0, 4.0);
+    constexpr double kHalfPi = std::numbers::pi / 2.0;
+    std::vector<std::pair<Gate, Gate>> pairs;
+    for (std::size_t k = 0; k < count; ++k) {
+      const double theta = angle(rng);
+      const bool x_axis = k % 2 == 0;
+      const double phi = x_axis ? -kHalfPi : angle(rng);
+      const double lambda = x_axis ? kHalfPi : angle(rng);
+      pairs.emplace_back(Gate::u3(0, theta, phi, lambda),
+                         Gate::rx(0, angle(rng)));
+    }
+    return pairs;
+  }
+
+  /// Runs `body` on a new thread, whose memo starts empty.
+  template <typename F>
+  static void on_fresh_thread(F body) {
+    std::thread worker(body);
+    worker.join();
   }
 };
 
 TEST_F(CommutativityGroundTruth, RuleTableMatchesMatrices) {
-  // Overlap patterns over wires {0,1,2}: identical pair, shared first,
-  // shared second, crossed.
-  const std::vector<std::pair<std::pair<Qubit, Qubit>,
-                              std::pair<Qubit, Qubit>>> patterns = {
-      {{0, 1}, {0, 1}}, {{0, 1}, {0, 2}}, {{0, 1}, {2, 1}},
-      {{0, 1}, {1, 2}}, {{0, 1}, {2, 0}},
-  };
   int checked = 0;
-  for (const auto& [qa, qb] : patterns) {
-    for (const Gate& ga : gates_on(qa.first, qa.second)) {
-      for (const Gate& gb : gates_on(qb.first, qb.second)) {
-        const bool expected = ir::unitaries_commute(ga, gb);
-        const bool actual = gates_commute(ga, gb);
-        EXPECT_EQ(actual, expected)
-            << ga.to_string() << " vs " << gb.to_string();
-        ++checked;
-      }
+  on_fresh_thread([&] {
+    for (const auto& [ga, gb] : overlap_pairs()) {
+      const bool expected = ir::unitaries_commute(ga, gb);
+      EXPECT_EQ(gates_commute(ga, gb), expected)
+          << "cold: " << ga.to_string() << " vs " << gb.to_string();
+      EXPECT_EQ(gates_commute(ga, gb), expected)
+          << "warm: " << ga.to_string() << " vs " << gb.to_string();
+      ++checked;
+    }
+  });
+  EXPECT_GT(checked, 2000);
+}
+
+TEST_F(CommutativityGroundTruth, ZeroAngleCrzIsJudgedConservatively) {
+  // crz(0) is the identity. The rule table decides CRZ pairs from the
+  // kind alone, so on some overlaps it answers "does not commute" where
+  // the matrices commute; that costs routing freedom, never correctness.
+  // It must never claim the reverse, and the memo must not flip it.
+  const std::vector<std::pair<Qubit, Qubit>> wires = {
+      {0, 1}, {1, 0}, {0, 2}, {2, 0}, {1, 2}, {2, 1}};
+  std::vector<std::pair<Gate, Gate>> pairs;
+  for (const auto& [qa, qb] : wires) {
+    const Gate zero = Gate::crz(qa, qb, 0.0);
+    for (const Gate& other : gates_on(0, 1)) {
+      pairs.emplace_back(zero, other);
+      pairs.emplace_back(other, zero);
     }
   }
-  EXPECT_GT(checked, 2000);
+  on_fresh_thread([&] {
+    for (const auto& [ga, gb] : pairs) {
+      const bool cold = gates_commute(ga, gb);
+      EXPECT_EQ(gates_commute(ga, gb), cold)
+          << ga.to_string() << " vs " << gb.to_string();
+      if (cold) {
+        EXPECT_TRUE(ir::unitaries_commute(ga, gb))
+            << ga.to_string() << " vs " << gb.to_string();
+      }
+    }
+  });
+}
+
+TEST_F(CommutativityGroundTruth, MemoSurvivesEveryTableSlotBeingOverwritten) {
+  // 16x more distinct fallback keys than the table has slots, interleaved
+  // with the alphabet pairs: every slot is evicted many times over, and
+  // every answer must still equal the matrices.
+  const auto alphabet = overlap_pairs();
+  const auto seeded = fallback_pairs(16 * kCommuteMemoSlots);
+  on_fresh_thread([&] {
+    std::size_t next = 0;
+    for (const auto& [ga, gb] : seeded) {
+      ASSERT_EQ(gates_commute(ga, gb), ir::unitaries_commute(ga, gb))
+          << ga.to_string() << " vs " << gb.to_string();
+      const auto& [pa, pb] = alphabet[next++ % alphabet.size()];
+      ASSERT_EQ(gates_commute(pa, pb), ir::unitaries_commute(pa, pb))
+          << pa.to_string() << " vs " << pb.to_string();
+    }
+  });
+}
+
+TEST_F(CommutativityGroundTruth, ThreadsShareNoMemoState) {
+  // Four threads ask the same pairs at once; each has its own table, so
+  // answers match the single-threaded ground truth (and TSan sees no
+  // shared state).
+  auto pairs = overlap_pairs();
+  for (const auto& pair : fallback_pairs(2 * kCommuteMemoSlots)) {
+    pairs.push_back(pair);
+  }
+  std::vector<char> expected;
+  expected.reserve(pairs.size());
+  for (const auto& [ga, gb] : pairs) {
+    expected.push_back(ir::unitaries_commute(ga, gb) ? 1 : 0);
+  }
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    workers.emplace_back([&, t] {
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+          const bool got = gates_commute(pairs[i].first, pairs[i].second);
+          if (got != (expected[i] != 0)) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (const int count : mismatches) EXPECT_EQ(count, 0);
 }
 
 TEST(CommutativeFront, PlainFrontWithoutCommutativity) {

@@ -22,18 +22,10 @@ namespace {
 /// The quantization grid of SwapCost (documented in swap_cost.hpp).
 double quantize(double x) { return std::nearbyint(x * 65536.0) / 65536.0; }
 
-/// Finds a repo-relative file by walking up from the working directory
-/// (ctest runs from build/<subdir>; the repo root is a few levels up).
-std::string find_repo_file(const std::string& relative) {
-  namespace fs = std::filesystem;
-  fs::path dir = fs::current_path();
-  for (int up = 0; up < 8; ++up) {
-    const fs::path candidate = dir / relative;
-    if (fs::exists(candidate)) return candidate.string();
-    if (!dir.has_parent_path() || dir.parent_path() == dir) break;
-    dir = dir.parent_path();
-  }
-  return std::string();
+/// A checked-in file, by its path relative to the source root (passed in
+/// by tests/CMakeLists.txt, so the lookup works from any build directory).
+std::string source_file(const std::string& relative) {
+  return (std::filesystem::path(CODAR_SOURCE_ROOT) / relative).string();
 }
 
 TEST(SwapCost, ZeroWeightsPriceEveryEdgeAtZero) {
@@ -121,11 +113,8 @@ TEST(CodarFid, DefaultWeightsBeatCodarEspOnMostOfTheSuite) {
   // default weights must strictly improve log-ESP over plain codar on at
   // least half (>= 36) of the 71 benchmarks. The three 36-qubit entries
   // cannot fit a 20-qubit device and count as non-wins.
-  const std::string path =
-      find_repo_file("examples/devices/tokyo-noisy.json");
-  ASSERT_FALSE(path.empty())
-      << "examples/devices/tokyo-noisy.json not found above "
-      << std::filesystem::current_path();
+  const std::string path = source_file("examples/devices/tokyo-noisy.json");
+  ASSERT_TRUE(std::filesystem::exists(path)) << path << " not found";
   const arch::Device dev = arch::load_device_file(path);
   ASSERT_TRUE(dev.coherence.any_finite());
 

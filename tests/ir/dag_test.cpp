@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace codar::ir {
 namespace {
+
+/// Copies a CSR adjacency row so it compares against a vector literal.
+std::vector<int> row(std::span<const int> adjacency) {
+  return {adjacency.begin(), adjacency.end()};
+}
 
 TEST(DependencyDag, LinearChainOnOneWire) {
   Circuit c(1);
@@ -12,8 +20,8 @@ TEST(DependencyDag, LinearChainOnOneWire) {
   c.x(0);
   const DependencyDag dag(c);
   EXPECT_EQ(dag.roots(), (std::vector<int>{0}));
-  EXPECT_EQ(dag.successors(0), (std::vector<int>{1}));
-  EXPECT_EQ(dag.successors(1), (std::vector<int>{2}));
+  EXPECT_EQ(row(dag.successors(0)), (std::vector<int>{1}));
+  EXPECT_EQ(row(dag.successors(1)), (std::vector<int>{2}));
   EXPECT_TRUE(dag.successors(2).empty());
   EXPECT_EQ(dag.in_degree(2), 1);
 }
@@ -35,8 +43,8 @@ TEST(DependencyDag, TwoQubitGateJoinsWires) {
   c.x(0);    // 3 depends on 2
   const DependencyDag dag(c);
   EXPECT_EQ(dag.in_degree(2), 2);
-  EXPECT_EQ(dag.predecessors(2), (std::vector<int>{0, 1}));
-  EXPECT_EQ(dag.predecessors(3), (std::vector<int>{2}));
+  EXPECT_EQ(row(dag.predecessors(2)), (std::vector<int>{0, 1}));
+  EXPECT_EQ(row(dag.predecessors(3)), (std::vector<int>{2}));
 }
 
 TEST(DependencyDag, DuplicateEdgeCollapsed) {
@@ -45,7 +53,7 @@ TEST(DependencyDag, DuplicateEdgeCollapsed) {
   c.cx(0, 1);  // 1 depends on 0 via both wires -> single edge
   const DependencyDag dag(c);
   EXPECT_EQ(dag.in_degree(1), 1);
-  EXPECT_EQ(dag.successors(0), (std::vector<int>{1}));
+  EXPECT_EQ(row(dag.successors(0)), (std::vector<int>{1}));
 }
 
 TEST(DependencyDag, BarrierOrdersItsQubits) {
@@ -55,8 +63,8 @@ TEST(DependencyDag, BarrierOrdersItsQubits) {
   c.barrier(both);  // 1
   c.h(1);  // 2 must wait for the barrier
   const DependencyDag dag(c);
-  EXPECT_EQ(dag.predecessors(1), (std::vector<int>{0}));
-  EXPECT_EQ(dag.predecessors(2), (std::vector<int>{1}));
+  EXPECT_EQ(row(dag.predecessors(1)), (std::vector<int>{0}));
+  EXPECT_EQ(row(dag.predecessors(2)), (std::vector<int>{1}));
 }
 
 TEST(DependencyDag, SizeMatchesCircuit) {

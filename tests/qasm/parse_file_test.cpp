@@ -15,7 +15,11 @@ namespace {
 class ParseFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "codar_qasm_test";
+    // One directory per test: ctest runs the cases as parallel processes,
+    // and a shared one would be removed under a sibling by its TearDown.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("codar_qasm_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -204,6 +204,62 @@ TEST(Parser, ErrorPositionIsReported) {
   }
 }
 
+/// Parses `body` (after the standard header) expecting a QasmError whose
+/// message names `fragment` and carries no source path of the parser.
+void expect_clean_error(const std::string& body, const std::string& fragment) {
+  try {
+    parse(std::string(kHeader) + body);
+    FAIL() << "expected QasmError for: " << body;
+  } catch (const QasmError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(fragment), std::string::npos) << message;
+    EXPECT_EQ(message.find('/'), std::string::npos) << message;
+    EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
+  }
+}
+
+TEST(Parser, HostileRegistersPastTheCapAreRejected) {
+  // Used to overflow the int qubit total and trip an internal assertion.
+  expect_clean_error("qreg q[2000000000];\nqreg r[2000000000];\n",
+                     "register size out of range [1, 65536]");
+  // Each register fits, the total does not.
+  expect_clean_error("qreg q[40000];\nqreg r[40000];\n",
+                     "qubit total exceeds the limit of 65536");
+}
+
+TEST(Parser, HostileHugeRegisterSizeIsRejectedBeforeAnyCast) {
+  expect_clean_error("qreg q[1e30];\n", "register size out of range");
+  expect_clean_error("qreg q[2];\ncreg c[1e30];\n",
+                     "register size out of range");
+}
+
+TEST(Parser, HostileFractionalRegisterSizeIsRejected) {
+  expect_clean_error("qreg q[2.7];\n", "register size must be an integer");
+  expect_clean_error("qreg q[2];\ncreg c[0.5];\n",
+                     "register size must be an integer");
+}
+
+TEST(Parser, HostileFractionalIndexIsRejected) {
+  expect_clean_error("qreg q[3];\nh q[1.9];\n",
+                     "qubit index must be an integer");
+  expect_clean_error("qreg q[3];\nh q[1e30];\n", "qubit index out of range");
+  expect_clean_error("qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[0.5];\n",
+                     "bit index must be an integer");
+  expect_clean_error("qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[2];\n",
+                     "bit index out of range");
+}
+
+TEST(Parser, InterleavedRegistersKeepGateOrderAndFinalWidth) {
+  const ir::Circuit c = parse(std::string(kHeader) +
+                              "qreg a[1];\nh a[0];\nqreg b[2];\n"
+                              "cx a[0],b[1];\nqreg d[1];\nx d[0];\n");
+  EXPECT_EQ(c.num_qubits(), 4);
+  ASSERT_EQ(c.size(), 3u);
+  EXPECT_EQ(c.gate(0).kind(), GateKind::kH);
+  EXPECT_EQ(c.gate(1).qubit(1), 2);  // b[1] -> 2
+  EXPECT_EQ(c.gate(2).qubit(0), 3);  // d[0] -> 3
+}
+
 TEST(Parser, QiskitStyleProgramParses) {
   // A representative snippet of the style emitted by Qiskit/ScaffCC.
   const char* program = R"(OPENQASM 2.0;
