@@ -1,12 +1,14 @@
 #pragma once
 
-// Hand-written lexer for the OpenQASM 2.0 subset the parser accepts.
-// Produces a flat token stream with line/column positions for diagnostics.
+// Pull lexer for the OpenQASM 2.0 subset the parser accepts. It hands out
+// one token per next() call, with line/column positions for diagnostics.
+// Token text is a view into the source (which must outlive the tokens),
+// and number tokens carry their value, converted in place (DESIGN.md §15).
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace codar::qasm {
 
@@ -33,8 +35,10 @@ enum class TokenKind {
 };
 
 struct Token {
-  TokenKind kind;
-  std::string text;   ///< Raw spelling (identifier name / string contents).
+  TokenKind kind = TokenKind::kEof;
+  /// Raw spelling (identifier name / string contents), a view into the
+  /// source; empty for kEof.
+  std::string_view text;
   double number = 0;  ///< Value for kNumber tokens.
   int line = 0;
   int column = 0;
@@ -52,8 +56,23 @@ class QasmError : public std::runtime_error {
   int column_;
 };
 
-/// Tokenizes the whole source. Comments (// ...) and whitespace are
-/// skipped. Throws QasmError on an unrecognized character.
-std::vector<Token> tokenize(std::string_view source);
+/// Splits a source into tokens on demand. Comments (// ...) and
+/// whitespace are skipped; at the end of the source every call returns a
+/// kEof token positioned just past the last character.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view source) : source_(source) {}
+
+  /// The next token. Throws QasmError on an unrecognized character, an
+  /// unterminated string, or a numeric lexeme that does not convert in
+  /// full (`1.2.3`, `1e`, `1e+`).
+  Token next();
+
+ private:
+  std::string_view source_;
+  std::size_t pos_ = 0;
+  std::size_t line_start_ = 0;  ///< Offset of the current line's first byte.
+  int line_ = 1;
+};
 
 }  // namespace codar::qasm

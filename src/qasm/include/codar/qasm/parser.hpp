@@ -15,7 +15,11 @@
 //   * barrier (wide barriers are lowered to a chained fence of <=3-qubit
 //     Barrier gates), opaque declarations (parsed, ignored)
 //
-// Unsupported constructs (`if`, `reset`) raise QasmError with position.
+// Unsupported constructs (`if`, `reset`) raise QasmError with position,
+// as do malformed numbers, non-finite parameter values, expressions nested
+// deeper than 256 levels and programs that expand to more than 2^20 gate
+// applications (DESIGN.md §15): untrusted text is read in bounded time and
+// memory.
 
 #include <string>
 #include <string_view>
@@ -24,8 +28,8 @@
 
 namespace codar::qasm {
 
-/// Parses OpenQASM 2.0 source into a flat circuit. Throws QasmError on
-/// lexical, syntactic or semantic errors.
+/// Parses OpenQASM 2.0 source into a flat circuit, in one pass over the
+/// text. Throws QasmError on lexical, syntactic or semantic errors.
 ir::Circuit parse(std::string_view source, std::string circuit_name = "");
 
 /// Reads and parses a .qasm file. Throws std::runtime_error if the file

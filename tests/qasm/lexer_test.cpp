@@ -2,11 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 namespace codar::qasm {
 namespace {
 
+/// Pulls every token of `source`, the final kEof included. The texts view
+/// `source`, so it must outlive the result.
+std::vector<Token> pull_all(std::string_view source) {
+  Lexer lexer(source);
+  std::vector<Token> tokens;
+  do {
+    tokens.push_back(lexer.next());
+  } while (tokens.back().kind != TokenKind::kEof);
+  return tokens;
+}
+
 TEST(Lexer, TokenizesSimpleStatement) {
-  const auto tokens = tokenize("cx q[0],q[1];");
+  const auto tokens = pull_all("cx q[0],q[1];");
   ASSERT_EQ(tokens.size(), 12u);  // cx q [ 0 ] , q [ 1 ] ; eof
   EXPECT_EQ(tokens[0].kind, TokenKind::kIdentifier);
   EXPECT_EQ(tokens[0].text, "cx");
@@ -17,27 +31,27 @@ TEST(Lexer, TokenizesSimpleStatement) {
 }
 
 TEST(Lexer, TokenCountsAndEof) {
-  const auto tokens = tokenize("h q;");
+  const auto tokens = pull_all("h q;");
   // h, q, ;, eof
   ASSERT_EQ(tokens.size(), 4u);
   EXPECT_EQ(tokens.back().kind, TokenKind::kEof);
 }
 
 TEST(Lexer, SkipsCommentsAndWhitespace) {
-  const auto tokens = tokenize("// comment line\n  h   q ; // trailing\n");
+  const auto tokens = pull_all("// comment line\n  h   q ; // trailing\n");
   ASSERT_EQ(tokens.size(), 4u);
   EXPECT_EQ(tokens[0].text, "h");
 }
 
 TEST(Lexer, RealNumbersWithExponents) {
-  const auto tokens = tokenize("rz(1.5e-2)");
+  const auto tokens = pull_all("rz(1.5e-2)");
   EXPECT_DOUBLE_EQ(tokens[2].number, 0.015);
-  const auto tokens2 = tokenize(".25");
+  const auto tokens2 = pull_all(".25");
   EXPECT_DOUBLE_EQ(tokens2[0].number, 0.25);
 }
 
 TEST(Lexer, ArrowAndOperators) {
-  const auto tokens = tokenize("a -> b + c - d * e / f ^ g");
+  const auto tokens = pull_all("a -> b + c - d * e / f ^ g");
   EXPECT_EQ(tokens[1].kind, TokenKind::kArrow);
   EXPECT_EQ(tokens[3].kind, TokenKind::kPlus);
   EXPECT_EQ(tokens[5].kind, TokenKind::kMinus);
@@ -47,13 +61,13 @@ TEST(Lexer, ArrowAndOperators) {
 }
 
 TEST(Lexer, StringLiteral) {
-  const auto tokens = tokenize("include \"qelib1.inc\";");
+  const auto tokens = pull_all("include \"qelib1.inc\";");
   EXPECT_EQ(tokens[1].kind, TokenKind::kString);
   EXPECT_EQ(tokens[1].text, "qelib1.inc");
 }
 
 TEST(Lexer, TracksLineAndColumn) {
-  const auto tokens = tokenize("h q;\ncx q[0],q[1];");
+  const auto tokens = pull_all("h q;\ncx q[0],q[1];");
   EXPECT_EQ(tokens[0].line, 1);
   EXPECT_EQ(tokens[0].column, 1);
   EXPECT_EQ(tokens[3].text, "cx");
@@ -62,12 +76,12 @@ TEST(Lexer, TracksLineAndColumn) {
 }
 
 TEST(Lexer, UnterminatedStringThrows) {
-  EXPECT_THROW(tokenize("include \"oops"), QasmError);
+  EXPECT_THROW(pull_all("include \"oops"), QasmError);
 }
 
 TEST(Lexer, UnexpectedCharacterThrows) {
   try {
-    tokenize("h q; @");
+    pull_all("h q; @");
     FAIL() << "expected QasmError";
   } catch (const QasmError& e) {
     EXPECT_EQ(e.line(), 1);

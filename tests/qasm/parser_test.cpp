@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <limits>
 #include <numbers>
+#include <string>
 
 #include "codar/qasm/lexer.hpp"
 
@@ -286,6 +290,199 @@ measure q -> c;
   }
   EXPECT_EQ(cu1_count, 3u);
   EXPECT_EQ(measures, 4u);
+}
+
+
+// -- numeric literals and parameter values --
+
+/// The single parameter of the one gate `body` (after a one-qubit
+/// register) parses to.
+double single_parameter(const std::string& body) {
+  const ir::Circuit c = parse(std::string(kHeader) + "qreg q[1];\n" + body);
+  EXPECT_EQ(c.size(), 1u);
+  return c.gate(0).param(0);
+}
+
+TEST(Parser, NumberWithTwoDecimalPointsIsRejected) {
+  // Used to read as rz(1.2): the conversion stopped at the second '.'.
+  expect_clean_error("qreg q[1];\nrz(1.2.3) q[0];\n", "malformed number '1.2.3'");
+}
+
+TEST(Parser, NumberWithBareExponentIsRejected) {
+  expect_clean_error("qreg q[1];\nrz(1e) q[0];\n", "malformed number '1e'");
+}
+
+TEST(Parser, NumberWithSignedBareExponentIsRejected) {
+  expect_clean_error("qreg q[1];\nrz(1e+) q[0];\n", "malformed number '1e+'");
+}
+
+TEST(Parser, OverflowingParameterIsRejected) {
+  // Used to be accepted as inf, which the writer renders as `inf`: text
+  // no reader accepts.
+  expect_clean_error("qreg q[1];\nrz(1e999) q[0];\n",
+                     "parameter is not a finite number");
+}
+
+TEST(Parser, NegativeOverflowingParameterIsRejected) {
+  expect_clean_error("qreg q[1];\nrz(-1e999) q[0];\n",
+                     "parameter is not a finite number");
+}
+
+TEST(Parser, NanParameterIsRejected) {
+  expect_clean_error("qreg q[1];\nrz(0/0) q[0];\n",
+                     "parameter is not a finite number");
+}
+
+TEST(Parser, NonFiniteParameterInsideGateBodyIsRejected) {
+  // Finite at the call, infinite once the body scales it.
+  try {
+    parse(std::string(kHeader) +
+          "qreg q[1];\ngate big(t) a { rz(t*1e308*10) a; }\nbig(1) q[0];\n");
+    FAIL() << "expected QasmError";
+  } catch (const QasmError& e) {
+    EXPECT_NE(std::string(e.what()).find("parameter is not a finite number"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.line(), 4);  // the body statement, as for other body errors
+  }
+}
+
+TEST(Parser, InfiniteIntermediateWithFiniteValueIsAccepted) {
+  // Only the value handed to the gate must be finite.
+  EXPECT_EQ(single_parameter("rz(1/1e999) q[0];\n"), 0.0);
+}
+
+TEST(Parser, UnderflowingLiteralReadsAsZero) {
+  const double v = single_parameter("rz(1e-999) q[0];\n");
+  EXPECT_EQ(v, 0.0);
+  EXPECT_FALSE(std::signbit(v));
+}
+
+TEST(Parser, SubnormalLiteralsAreExact) {
+  EXPECT_EQ(single_parameter("rz(5e-324) q[0];\n"),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(single_parameter("rz(2.2250738585072009e-308) q[0];\n"),
+            std::nextafter(std::numeric_limits<double>::min(), 0.0));
+}
+
+// -- bounded hostile input --
+
+TEST(Parser, HostileDeepNestingIsRejectedNotACrash) {
+  const std::string deep = std::string(100000, '(') + "1" +
+                           std::string(100000, ')');
+  expect_clean_error("qreg q[1];\nrz(" + deep + ") q[0];\n",
+                     "expression nested too deeply");
+  expect_clean_error("qreg q[1];\nrz(" + std::string(100000, '-') + "1) q[0];\n",
+                     "expression nested too deeply");
+}
+
+TEST(Parser, DuplicateBarrierOperandIsATypedError) {
+  // Used to escape as an ir::Gate contract violation.
+  expect_clean_error("qreg q[2];\nbarrier q[0], q[0];\n",
+                     "duplicate qubit operand in barrier");
+  expect_clean_error("qreg q[3];\ngate f a, b { barrier a, b; }\nf q[1], q[1];\n",
+                     "duplicate qubit operand in barrier");
+}
+
+/// A chain of `levels` gate definitions, each calling the previous one
+/// twice, over `base`, and one call of the last: 2^levels calls of base.
+std::string doubling_chain(const std::string& base, int levels) {
+  std::string program = "qreg q[1];\n" + base;
+  for (int i = 1; i <= levels; ++i) {
+    const std::string prev = "g" + std::to_string(i - 1);
+    program += "gate g" + std::to_string(i) + " a { " + prev + " a; " + prev +
+               " a; }\n";
+  }
+  return program + "g" + std::to_string(levels) + " q[0];\n";
+}
+
+// The budget error must come within a second in an optimized build.
+// Debug and sanitizer builds run the same bounded work several times
+// slower, so there the bound only has to tell bounded work from a hang.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CODAR_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CODAR_SANITIZED_BUILD 1
+#endif
+#endif
+#if defined(CODAR_SANITIZED_BUILD) || !defined(NDEBUG)
+constexpr double kBudgetErrorSeconds = 10.0;
+#else
+constexpr double kBudgetErrorSeconds = 1.0;
+#endif
+
+/// Expects the expansion-budget error, reported at `line` (the header is
+/// lines 1-2), within kBudgetErrorSeconds.
+void expect_budget_error(const std::string& body, int line) {
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    parse(std::string(kHeader) + body);
+    ADD_FAILURE() << "expected the expansion budget to be exceeded";
+  } catch (const QasmError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "program expands to more than 1048576 gate applications"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.line(), line);
+  }
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), kBudgetErrorSeconds);
+}
+
+TEST(Parser, HostileDoublingGateChainHitsTheExpansionBudget) {
+  // 2,097,152 gates from about 600 bytes.
+  expect_budget_error(doubling_chain("gate g0 a { h a; h a; }\n", 20), 25);
+}
+
+TEST(Parser, HostileLongerDoublingGateChainHitsTheExpansionBudget) {
+  // 8.4M gates; every further line doubles it.
+  expect_budget_error(doubling_chain("gate g0 a { h a; h a; }\n", 22), 27);
+}
+
+TEST(Parser, HostileEmptyGateChainHitsTheExpansionBudget) {
+  // No gate at all, but 2^21 - 1 calls entered.
+  expect_budget_error(doubling_chain("gate g0 a { }\n", 20), 25);
+}
+
+TEST(Parser, HostileWideBroadcastHitsTheExpansionBudget) {
+  // 50 broadcasts over 65536 qubits: 3,276,800 gates from 279 bytes. The
+  // 17th crosses 2^20.
+  std::string body = "qreg q[65536];\n";
+  for (int i = 0; i < 50; ++i) body += "h q;\n";
+  expect_budget_error(body, 2 + 1 + 17);
+}
+
+TEST(Parser, HostileWideUserGateBroadcastHitsTheExpansionBudget) {
+  // A gate of 20,000 qubit arguments, broadcast over 65536 qubits: each
+  // of the 65536 calls binds 20,000 operands, 1.3e9 in all.
+  std::string formals = "a0";
+  std::string operands = "q";
+  for (int i = 1; i < 20000; ++i) {
+    formals += ",a" + std::to_string(i);
+    operands += ",q";
+  }
+  expect_budget_error("qreg q[65536];\ngate big " + formals + " { }\nbig " +
+                          operands + ";\n",
+                      2 + 3);
+}
+
+TEST(Parser, HostileLongBodyExpressionHitsTheExpansionBudget) {
+  // A body expression of 200,000 instructions, evaluated at each of 65536
+  // calls.
+  std::string sum = "t";
+  for (int i = 1; i < 100000; ++i) sum += "+t";
+  expect_budget_error("qreg q[65536];\ngate g(t) a { rz(" + sum +
+                          ") a; }\ng(1) q;\n",
+                      2 + 3);
+}
+
+TEST(Parser, ExpansionBudgetAdmitsExactlyTwoToTheTwenty) {
+  std::string body = "qreg q[65536];\n";
+  for (int i = 0; i < 16; ++i) body += "x q;\n";
+  EXPECT_EQ(parse(std::string(kHeader) + body).size(), std::size_t{1} << 20);
+  expect_budget_error(body + "x q[0];\n", 2 + 1 + 16 + 1);
 }
 
 }  // namespace
