@@ -1,16 +1,19 @@
 // Reproduces the paper's figures and tables through the public compilation
-// pipeline. Every measured row is one (device, circuit, RoutingSpec) run of
-// pipeline::Pipeline: routers and initial mappings are chosen by registry
-// name, CODAR's ablations are set through `spec.codar`, and the evaluation
-// protocol is written once, in protocol() below. Usage:
+// pipeline, then compares the fidelity-aware router with CODAR and routes
+// a large-lattice scaling sweep. Every measured row is one (device,
+// circuit, RoutingSpec) run of pipeline::Pipeline: routers and initial
+// mappings are chosen by registry name, CODAR's ablations are set through
+// `spec.codar`, and the paper's evaluation protocol is written once, in
+// protocol() below. Usage:
 //
 //   bench_paper [OUTPUT.json]        (default BENCH_paper.json)
 //
-// Prints each figure's table and writes to OUTPUT every row's weighted
-// depth and SWAP count plus Fig. 8's per-architecture mean / geomean /
-// wins (the gated fields), with wall time, log-ESP, the Fig. 9 fidelities
-// and the paper's means as informational fields. Doubles are rounded to
-// 12 significant digits so the baseline is immune to sub-ulp libm noise.
+// Prints each section's table and writes to OUTPUT every row's weighted
+// depth, SWAP count, router makespan, simulated cycles and log-ESP, plus
+// the summary rows' mean / geomean / wins (the gated fields), with wall
+// time, the Fig. 9 fidelities and the paper's means as informational
+// fields. Doubles are rounded to 12 significant digits so the baseline is
+// immune to sub-ulp libm noise.
 
 #include <algorithm>
 #include <chrono>
@@ -115,6 +118,8 @@ class Bench {
     ++routes_;
     add(name, {{"depth", std::to_string(r.depth_out)},
                {"swaps", std::to_string(r.swaps)},
+               {"makespan", std::to_string(r.makespan)},
+               {"cycles", std::to_string(r.cycles)},
                {"log_esp", fmt12(r.log_esp)},
                {"wall_ms", fmt_fixed(ms, 3)}});
     return r;
@@ -137,8 +142,8 @@ class Bench {
 
   std::string json() const {
     std::string out =
-        "{\"gated_fields\": [\"depth\", \"swaps\", \"mean\", \"geomean\", "
-        "\"wins\"],\n \"results\": [";
+        "{\"gated_fields\": [\"depth\", \"swaps\", \"makespan\", \"cycles\", "
+        "\"log_esp\", \"mean\", \"geomean\", \"wins\"],\n \"results\": [";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       out += (i == 0 ? "\n  {" : ",\n  {") + rows_[i] + "}";
     }
@@ -460,6 +465,71 @@ void fig9(Bench& bench) {
   table.print(std::cout);
 }
 
+// codar-fid against plain CODAR on the two calibrated example device
+// files, both under the default RoutingSpec (what `codar` runs); codar-fid
+// wins a benchmark when its estimated success probability is higher.
+void fidelity(Bench& bench, const Suite& suite) {
+  header("Fidelity-aware routing - codar-fid vs codar (default spec)");
+  RoutingSpec fid;
+  fid.router = "codar-fid";
+  Table table({"device", "benchmarks", "codar-fid wins"});
+  for (const std::string file : {"tokyo_calibrated", "tokyo-noisy"}) {
+    const arch::Device dev = device(std::string("file:") + CODAR_SOURCE_ROOT +
+                                    "/examples/devices/" + file + ".json");
+    int count = 0, wins = 0;
+    for (const workloads::BenchmarkSpec& spec : suite) {
+      if (spec.circuit.num_qubits() > dev.graph.num_qubits()) continue;
+      const std::string name = "fidelity/" + file + "/" + spec.name;
+      const RouteReport plain =
+          bench.run(name + "/codar", dev, spec.circuit, RoutingSpec());
+      const RouteReport aware =
+          bench.run(name + "/codar-fid", dev, spec.circuit, fid);
+      ++count;
+      if (aware.log_esp > plain.log_esp) ++wins;
+    }
+    bench.add("fidelity/" + file, {{"benchmarks", std::to_string(count)},
+                                   {"wins", std::to_string(wins)}});
+    table.add_row({file, std::to_string(count), std::to_string(wins)});
+  }
+  table.print(std::cout);
+}
+
+// CODAR on large lattices, up to 100k gates over 2500 qubits, from the
+// identity layout: deterministic, and the SABRE layout search does not
+// swamp the router. Lattices above arch::kDenseOracleMaxQubits qubits
+// route through the on-demand distance oracle.
+void scaling(Bench& bench) {
+  header("Scaling - CODAR on large lattices (identity layout)");
+  struct Workload {
+    std::string name, device;
+    ir::Circuit circuit;
+  };
+  const Workload sweep[] = {
+      {"grid16x16_rand_10k", "grid:16x16",
+       workloads::random_circuit(256, 10'000, 0.5, 21)},
+      {"grid32x32_rand_25k", "grid:32x32",
+       workloads::random_circuit(1024, 25'000, 0.5, 22)},
+      {"grid50x50_rand_25k", "grid:50x50",
+       workloads::random_circuit(2500, 25'000, 0.5, 23)},
+      {"grid50x50_ising_2500", "grid:50x50",
+       workloads::ising_trotter(2500, 10)},
+      {"grid50x50_rand_100k", "grid:50x50",
+       workloads::random_circuit(2500, 100'000, 0.5, 24)}};
+  RoutingSpec spec;
+  spec.mapping = "identity";
+  Table table({"workload", "qubits", "gates", "swaps", "makespan",
+               "route ms"});
+  for (const Workload& w : sweep) {
+    const RouteReport r =
+        bench.run("scaling/" + w.name, device(w.device), w.circuit, spec);
+    table.add_row({w.name, std::to_string(w.circuit.num_qubits()),
+                   std::to_string(w.circuit.size()), std::to_string(r.swaps),
+                   std::to_string(r.makespan),
+                   std::to_string(r.route_us / 1000)});
+  }
+  table.print(std::cout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -476,6 +546,8 @@ int main(int argc, char** argv) {
     baselines(bench, suite);
     initial_mapping(bench, suite);
     fig9(bench);
+    fidelity(bench, suite);
+    scaling(bench);
 
     std::ofstream out(output);
     if (!out) throw std::runtime_error("cannot write " + output);

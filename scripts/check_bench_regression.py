@@ -8,17 +8,14 @@ Usage:
                               [BASELINE2.json CANDIDATE2.json ...]
 
 Arguments are baseline/candidate pairs, so one invocation can gate
-BENCH_router.json (the 71-benchmark suite), BENCH_scaling.json (the
-large-device sweep), BENCH_fidelity.json (codar vs codar-fid),
-BENCH_paper.json (the paper's figures) and BENCH_serve.json (the
-socket-serve load mixes).
-Each baseline chooses its own gated fields via a top-level
-"gated_fields" array; baselines without one gate the routing-quality
-trio (swaps, makespan, cycles). Gated fields are deterministic by
-construction, so ANY difference is a regression (or an improvement that
-must be committed deliberately by refreshing the baseline). Wall time,
-throughput and latency percentiles are machine-dependent and stay
-informational: printed, never gating.
+BENCH_paper.json (the paper's figures, the fidelity-aware comparison and
+the scaling sweep) and BENCH_serve.json (the socket-serve load mixes).
+Each baseline names its gated fields in a top-level "gated_fields"
+array; a baseline without one is malformed. Gated fields are
+deterministic by construction, so ANY difference is a regression (or an
+improvement that must be committed deliberately by refreshing the
+baseline). Wall time, throughput and latency percentiles are
+machine-dependent and stay informational: printed, never gating.
 
 --allow-missing-baseline is the bootstrap mode for brand-new benches: a
 pair whose baseline file does not exist yet warns and passes, so CI can
@@ -33,8 +30,6 @@ Exit codes: 0 = no drift, 1 = drift or benchmark set mismatch,
 import json
 import os
 import sys
-
-DEFAULT_GATED_FIELDS = ("swaps", "makespan", "cycles")
 
 
 def load(path):
@@ -52,8 +47,11 @@ def load(path):
 
 
 def gated_fields_of(doc, path):
-    fields = doc.get("gated_fields", DEFAULT_GATED_FIELDS)
-    if (not isinstance(fields, (list, tuple)) or not fields
+    if "gated_fields" not in doc:
+        print(f"error: {path} has no 'gated_fields' array", file=sys.stderr)
+        sys.exit(2)
+    fields = doc["gated_fields"]
+    if (not isinstance(fields, list) or not fields
             or not all(isinstance(f, str) for f in fields)):
         print(f"error: {path} has a malformed 'gated_fields' array",
               file=sys.stderr)
@@ -117,8 +115,7 @@ def main(argv):
         for line in all_drift:
             print(f"  {line}")
         print("\nIf this change is intentional, regenerate the baseline(s) "
-              "with the matching bench binary (bench_router_throughput / "
-              "bench_runtime_scaling / bench_fidelity / bench_paper / "
+              "with the matching bench binary (bench_paper / "
               "bench_serve_load).")
         return 1
 

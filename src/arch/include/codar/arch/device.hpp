@@ -123,8 +123,4 @@ Device linear(int n, DurationMap durations = DurationMap());
 /// Cycle graph (linear plus wrap-around edge). No coordinates.
 Device ring(int n, DurationMap durations = DurationMap());
 
-/// The four evaluation architectures of the paper's Fig. 8, in paper order:
-/// IBM Q16, Enfield 6×6, IBM Q20 Tokyo, Google Q54 Sycamore.
-std::vector<Device> paper_architectures();
-
 }  // namespace codar::arch

@@ -39,7 +39,7 @@ namespace codar::arch {
 
 /// Largest device the kAuto policy serves from the dense matrix. 1024
 /// qubits = 4 MiB of matrix; every paper architecture is far below this,
-/// so default routing behavior (and the pinned BENCH_router.json) is
+/// so default routing behavior (and the pinned BENCH_paper.json) is
 /// byte-identical to the pre-oracle dense implementation.
 inline constexpr int kDenseOracleMaxQubits = 1024;
 

@@ -184,13 +184,4 @@ Device ring(int n, DurationMap durations) {
   return Device{"ring " + std::to_string(n), std::move(g), durations};
 }
 
-std::vector<Device> paper_architectures() {
-  std::vector<Device> out;
-  out.push_back(ibm_q16());
-  out.push_back(enfield_6x6());
-  out.push_back(ibm_q20_tokyo());
-  out.push_back(google_sycamore54());
-  return out;
-}
-
 }  // namespace codar::arch

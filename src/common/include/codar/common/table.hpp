@@ -1,8 +1,7 @@
 #pragma once
 
 // Minimal fixed-width table printer used by the benchmark harness to emit
-// the rows/series the paper's tables and figures report, plus a CSV dump
-// for downstream plotting.
+// the rows/series the paper's tables and figures report.
 
 #include <iosfwd>
 #include <string>
@@ -10,8 +9,8 @@
 
 namespace codar {
 
-/// Accumulates rows of string cells and prints them either as an aligned
-/// ASCII table or as CSV. Cells are strings; use the format helpers below.
+/// Accumulates rows of string cells and prints them as an aligned ASCII
+/// table. Cells are strings; use the format helpers below.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -21,8 +20,6 @@ class Table {
 
   /// Aligned, human-readable rendering (pads each column to its max width).
   void print(std::ostream& os) const;
-  /// Comma-separated rendering (no quoting; cells must not contain commas).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

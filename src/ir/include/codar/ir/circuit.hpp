@@ -74,10 +74,6 @@ class Circuit {
   void measure(Qubit q) { add(Gate::measure(q)); }
   void barrier(std::span<const Qubit> qs) { add(Gate::barrier(qs)); }
 
-  /// Number of gates with exactly two qubit operands.
-  std::size_t two_qubit_gate_count() const;
-  /// Number of kSwap gates.
-  std::size_t swap_count() const;
   /// Number of kBarrier fences.
   std::size_t barrier_count() const;
   /// Highest qubit index actually used plus one (<= num_qubits()).

@@ -33,19 +33,6 @@ void Circuit::append(const Circuit& other) {
   for (const Gate& g : other.gates()) add(g);
 }
 
-std::size_t Circuit::two_qubit_gate_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(gates_.begin(), gates_.end(),
-                    [](const Gate& g) { return g.num_qubits() == 2; }));
-}
-
-std::size_t Circuit::swap_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(gates_.begin(), gates_.end(), [](const Gate& g) {
-        return g.kind() == GateKind::kSwap;
-      }));
-}
-
 std::size_t Circuit::barrier_count() const {
   return static_cast<std::size_t>(
       std::count_if(gates_.begin(), gates_.end(), [](const Gate& g) {

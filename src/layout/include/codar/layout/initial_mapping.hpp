@@ -3,13 +3,10 @@
 // Initial-mapping strategies. The paper: "Initial mapping has been proved
 // to be significant for the qubit mapping problem" — its evaluation uses
 // SABRE's reverse traversal (implemented in codar::sabre). This module
-// adds router-independent alternatives used by tests and the
-// initial-mapping ablation bench:
-//
-//  * interaction-graph greedy placement — put strongly-interacting logical
-//    qubits on adjacent, high-degree physical qubits (BFS expansion);
-//  * simulated-annealing refinement of the weighted-distance objective
-//    Σ w(a,b) · D(π(a), π(b)).
+// adds a router-independent alternative, the `greedy` mapping of the
+// initial-mapping ablation: interaction-graph greedy placement, which puts
+// strongly-interacting logical qubits on adjacent, high-degree physical
+// qubits (BFS expansion).
 
 #include <cstdint>
 #include <vector>
@@ -40,13 +37,6 @@ class InteractionGraph {
   std::vector<std::pair<Qubit, Qubit>> pairs_;
 };
 
-/// Mapping cost under a layout: Σ over interacting pairs of
-/// weight(a,b) * D(π(a), π(b)). Lower is better; the theoretical floor is
-/// Σ weight (every pair adjacent).
-std::int64_t mapping_cost(const InteractionGraph& interactions,
-                          const arch::CouplingGraph& coupling,
-                          const Layout& layout);
-
 /// Greedy placement: seeds the strongest-interacting logical qubit on the
 /// physical qubit with the highest degree, then repeatedly places the
 /// unplaced logical qubit with the strongest ties to the placed set on the
@@ -54,14 +44,5 @@ std::int64_t mapping_cost(const InteractionGraph& interactions,
 /// partners. Deterministic.
 Layout greedy_interaction_layout(const ir::Circuit& circuit,
                                  const arch::CouplingGraph& coupling);
-
-/// Simulated-annealing refinement: starts from `start` and applies random
-/// physical transpositions, accepting worse moves with Metropolis
-/// probability under a geometric cooling schedule. Deterministic given the
-/// seed; returns the best layout visited.
-Layout annealed_layout(const ir::Circuit& circuit,
-                       const arch::CouplingGraph& coupling,
-                       const Layout& start, std::uint64_t seed,
-                       int iterations = 2000);
 
 }  // namespace codar::layout

@@ -1,10 +1,6 @@
 #include "codar/layout/initial_mapping.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "codar/arch/distance_oracle.hpp"
-#include "codar/common/rng.hpp"
 
 namespace codar::layout {
 
@@ -37,18 +33,6 @@ std::int64_t InteractionGraph::degree(Qubit q) const {
     total += weight(q, other);
   }
   return total;
-}
-
-std::int64_t mapping_cost(const InteractionGraph& interactions,
-                          const arch::CouplingGraph& coupling,
-                          const Layout& layout) {
-  const arch::DistanceOracle& dist = coupling.oracle();
-  std::int64_t cost = 0;
-  for (const auto& [a, b] : interactions.pairs()) {
-    cost += interactions.weight(a, b) *
-            dist.distance(layout.physical(a), layout.physical(b));
-  }
-  return cost;
 }
 
 Layout greedy_interaction_layout(const ir::Circuit& circuit,
@@ -127,55 +111,6 @@ Layout greedy_interaction_layout(const ir::Circuit& circuit,
     phys_used[static_cast<std::size_t>(best_physical)] = true;
   }
   return Layout::from_l2p(l2p, n_phys);
-}
-
-Layout annealed_layout(const ir::Circuit& circuit,
-                       const arch::CouplingGraph& coupling,
-                       const Layout& start, std::uint64_t seed,
-                       int iterations) {
-  CODAR_EXPECTS(iterations >= 0);
-  CODAR_EXPECTS(start.num_logical() == circuit.num_qubits());
-  CODAR_EXPECTS(start.num_physical() == coupling.num_qubits());
-  const InteractionGraph interactions(circuit);
-  Rng rng(seed);
-
-  Layout current = start;
-  std::int64_t current_cost = mapping_cost(interactions, coupling, current);
-  Layout best = current;
-  std::int64_t best_cost = current_cost;
-
-  // Geometric cooling from a temperature comparable to the cost scale.
-  double temperature =
-      std::max<double>(1.0, static_cast<double>(current_cost) * 0.05);
-  const double cooling =
-      iterations > 0 ? std::pow(1e-3, 1.0 / iterations) : 1.0;
-
-  const int n_phys = coupling.num_qubits();
-  for (int it = 0; it < iterations; ++it) {
-    const Qubit a = static_cast<Qubit>(
-        rng.index(static_cast<std::size_t>(n_phys)));
-    Qubit b = a;
-    while (b == a) {
-      b = static_cast<Qubit>(rng.index(static_cast<std::size_t>(n_phys)));
-    }
-    // Swapping two unoccupied slots changes nothing; skip.
-    if (!current.occupied(a) && !current.occupied(b)) continue;
-    current.swap_physical(a, b);
-    const std::int64_t next_cost =
-        mapping_cost(interactions, coupling, current);
-    const auto delta = static_cast<double>(next_cost - current_cost);
-    if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature)) {
-      current_cost = next_cost;
-      if (current_cost < best_cost) {
-        best_cost = current_cost;
-        best = current;
-      }
-    } else {
-      current.swap_physical(a, b);  // revert
-    }
-    temperature *= cooling;
-  }
-  return best;
 }
 
 }  // namespace codar::layout

@@ -10,7 +10,8 @@
 namespace codar::qasm {
 
 /// Renders the circuit as an OpenQASM 2.0 program over one flat register
-/// `q[num_qubits]` (plus `c[num_qubits]` when the circuit measures).
+/// `q[num_qubits]` (plus `c[num_qubits]` when the circuit measures). A
+/// zero-width circuit is the header alone, which reads back as itself.
 std::string to_qasm(const ir::Circuit& circuit);
 
 }  // namespace codar::qasm

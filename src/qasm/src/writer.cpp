@@ -35,22 +35,26 @@ std::string to_qasm(const ir::Circuit& circuit) {
   std::string out;
   out.reserve(64 + 24 * circuit.size());
   char line[kMaxLine];
-  char* p = put(line, "qreg q[");
-  p = put(put_int(p, circuit.num_qubits()), "];\n");
   out += "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
-  out.append(line, p);
+  // A zero-width circuit has no register: `qreg q[0];` is no valid size,
+  // and a program without a qreg reads back as zero-width.
+  if (circuit.num_qubits() > 0) {
+    char* p = put(line, "qreg q[");
+    p = put(put_int(p, circuit.num_qubits()), "];\n");
+    out.append(line, p);
+  }
   bool has_measure = false;
   for (const ir::Gate& g : circuit.gates()) {
     if (g.kind() == ir::GateKind::kMeasure) has_measure = true;
   }
   if (has_measure) {
-    p = put(line, "creg c[");
+    char* p = put(line, "creg c[");
     p = put(put_int(p, circuit.num_qubits()), "];\n");
     out.append(line, p);
   }
 
   for (const ir::Gate& g : circuit.gates()) {
-    p = line;
+    char* p = line;
     if (g.kind() == ir::GateKind::kMeasure) {
       p = put(put_int(put(p, "measure q["), g.qubit(0)), "] -> c[");
       p = put(put_int(p, g.qubit(0)), "];\n");

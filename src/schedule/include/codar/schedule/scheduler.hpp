@@ -28,9 +28,6 @@ struct ScheduledGate {
 struct Schedule {
   std::vector<ScheduledGate> gates;
   Duration makespan = 0;  ///< Weighted depth.
-
-  /// Number of gates executing at time t (for utilization analyses).
-  int active_gates_at(Duration t) const;
 };
 
 /// Schedules every gate as early as its qubits allow (program order,
@@ -52,8 +49,5 @@ Duration weighted_depth(const ir::Circuit& circuit,
 /// Device-resolved weighted depth (physical circuits; see asap_schedule).
 Duration weighted_depth(const ir::Circuit& circuit,
                         const arch::Device& device);
-
-/// Classic unweighted depth (every non-barrier gate one layer).
-int unweighted_depth(const ir::Circuit& circuit);
 
 }  // namespace codar::schedule

@@ -4,14 +4,6 @@
 
 namespace codar::schedule {
 
-int Schedule::active_gates_at(Duration t) const {
-  int active = 0;
-  for (const ScheduledGate& g : gates) {
-    if (g.start <= t && t < g.finish) ++active;
-  }
-  return active;
-}
-
 namespace {
 
 /// Shared ASAP loop; `duration_of` resolves one gate's duration.
@@ -61,23 +53,6 @@ Duration weighted_depth(const ir::Circuit& circuit,
 Duration weighted_depth(const ir::Circuit& circuit,
                         const arch::Device& device) {
   return asap_schedule(circuit, device).makespan;
-}
-
-int unweighted_depth(const ir::Circuit& circuit) {
-  std::vector<int> depth(static_cast<std::size_t>(circuit.num_qubits()), 0);
-  int max_depth = 0;
-  for (const ir::Gate& g : circuit.gates()) {
-    int layer = 0;
-    for (const ir::Qubit q : g.qubits()) {
-      layer = std::max(layer, depth[static_cast<std::size_t>(q)]);
-    }
-    if (g.kind() != ir::GateKind::kBarrier) ++layer;
-    for (const ir::Qubit q : g.qubits()) {
-      depth[static_cast<std::size_t>(q)] = layer;
-    }
-    max_depth = std::max(max_depth, layer);
-  }
-  return max_depth;
 }
 
 }  // namespace codar::schedule

@@ -74,13 +74,4 @@ Circuit ising_trotter(int n, int steps);
 /// strong commutativity workload.
 Circuit qpe(int counting, double theta);
 
-/// Roetteler's hidden-shift algorithm for the bent function
-/// f(x) = x_left . x_right on n qubits (n even, >= 2): deterministically
-/// outputs `shift`. CZ-heavy with three Hadamard walls.
-Circuit hidden_shift(int n, std::uint64_t shift);
-
-/// Quantum-volume-style circuit: `depth` layers, each a random qubit
-/// pairing with a randomized SU(4)-like block (u3/cx/u3/cx/u3) per pair.
-Circuit quantum_volume(int n, int depth, std::uint64_t seed);
-
 }  // namespace codar::workloads

@@ -382,57 +382,4 @@ Circuit qpe(int counting, double theta) {
   return c;
 }
 
-Circuit hidden_shift(int n, std::uint64_t shift) {
-  CODAR_EXPECTS(n >= 2 && n % 2 == 0 && n < 63);
-  CODAR_EXPECTS(shift < (std::uint64_t{1} << n));
-  Circuit c(n, "hshift_" + std::to_string(n));
-  const int half = n / 2;
-  auto cz_wall = [&]() {
-    for (Qubit i = 0; i < half; ++i) c.cz(i, i + half);
-  };
-  auto x_shift = [&]() {
-    for (Qubit i = 0; i < n; ++i) {
-      if ((shift >> i) & 1U) c.x(i);
-    }
-  };
-  for (Qubit i = 0; i < n; ++i) c.h(i);
-  x_shift();
-  cz_wall();  // oracle of the shifted function
-  x_shift();
-  for (Qubit i = 0; i < n; ++i) c.h(i);
-  cz_wall();  // oracle of the dual bent function
-  for (Qubit i = 0; i < n; ++i) c.h(i);
-  for (Qubit i = 0; i < n; ++i) c.measure(i);
-  return c;
-}
-
-Circuit quantum_volume(int n, int depth, std::uint64_t seed) {
-  CODAR_EXPECTS(n >= 2);
-  CODAR_EXPECTS(depth >= 1);
-  Circuit c(n, "qv_" + std::to_string(n) + "_" + std::to_string(depth));
-  Rng rng(seed);
-  std::vector<Qubit> order(static_cast<std::size_t>(n));
-  for (Qubit i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-  auto random_u3 = [&](Qubit q) {
-    c.u3(q, rng.uniform(0.0, pi), rng.uniform(0.0, 2.0 * pi),
-         rng.uniform(0.0, 2.0 * pi));
-  };
-  for (int layer = 0; layer < depth; ++layer) {
-    std::shuffle(order.begin(), order.end(), rng.engine());
-    for (int k = 0; k + 1 < n; k += 2) {
-      const Qubit a = order[static_cast<std::size_t>(k)];
-      const Qubit b = order[static_cast<std::size_t>(k + 1)];
-      random_u3(a);
-      random_u3(b);
-      c.cx(a, b);
-      random_u3(a);
-      random_u3(b);
-      c.cx(b, a);
-      random_u3(a);
-      random_u3(b);
-    }
-  }
-  return c;
-}
-
 }  // namespace codar::workloads

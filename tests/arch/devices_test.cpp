@@ -75,15 +75,6 @@ TEST(Devices, LinearAndRing) {
   EXPECT_THROW(ring(2), ContractViolation);
 }
 
-TEST(Devices, PaperArchitecturesListAndOrder) {
-  const auto archs = paper_architectures();
-  ASSERT_EQ(archs.size(), 4u);
-  EXPECT_EQ(archs[0].graph.num_qubits(), 16);
-  EXPECT_EQ(archs[1].graph.num_qubits(), 36);
-  EXPECT_EQ(archs[2].graph.num_qubits(), 20);
-  EXPECT_EQ(archs[3].graph.num_qubits(), 54);
-}
-
 TEST(DeviceParameters, TableOneSurvey) {
   const auto& params = table1_parameters();
   ASSERT_EQ(params.size(), 6u);

@@ -300,7 +300,7 @@ std::vector<workloads::BenchmarkSpec> batch_jobs() {
   jobs.push_back({"adder3", workloads::cuccaro_adder(3)});
   jobs.push_back({"qaoa10", workloads::qaoa_maxcut(10, 2, 7)});
   jobs.push_back({"random12", workloads::random_circuit(12, 300, 0.4, 11)});
-  jobs.push_back({"hidden8", workloads::hidden_shift(8, 0b1011)});
+  jobs.push_back({"simon8", workloads::simon(4, 0b1011)});
   return jobs;
 }
 

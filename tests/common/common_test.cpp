@@ -97,14 +97,6 @@ TEST(Table, AlignedOutput) {
   EXPECT_EQ(t.row_count(), 2u);
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"a", "b", "c"});
-  t.add_row({"1", "2", "3"});
-  std::ostringstream oss;
-  t.print_csv(oss);
-  EXPECT_EQ(oss.str(), "a,b,c\n1,2,3\n");
-}
-
 TEST(Table, RejectsMismatchedRows) {
   Table t({"one", "two"});
   EXPECT_THROW(t.add_row({"only-one"}), ContractViolation);

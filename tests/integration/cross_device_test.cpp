@@ -104,7 +104,9 @@ TEST(CrossDevice, MirrorCircuitSurvivesRoutingOnHeavyHex) {
 
 TEST(CrossDevice, SameCircuitAcrossAllModeledArchitectures) {
   const Circuit c = workloads::bernstein_vazirani(9, 0b101101101);
-  std::vector<arch::Device> devices = arch::paper_architectures();
+  std::vector<arch::Device> devices = {arch::ibm_q16(), arch::enfield_6x6(),
+                                       arch::ibm_q20_tokyo(),
+                                       arch::google_sycamore54()};
   devices.push_back(arch::heavy_hex(3));
   devices.push_back(arch::rigetti_octagons(2));
   devices.push_back(arch::ion_trap_all_to_all(10));

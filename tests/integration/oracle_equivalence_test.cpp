@@ -5,7 +5,7 @@
 // unique, so the backends return the same values and every downstream
 // decision — SABRE initial mapping, CODAR swap selection, scheduling —
 // must be bit-for-bit reproducible. This is the regression net that keeps
-// BENCH_router.json valid for every backend.
+// BENCH_paper.json valid for every backend.
 
 #include <gtest/gtest.h>
 

@@ -31,17 +31,6 @@ TEST(Circuit, RejectsOutOfRangeQubits) {
   EXPECT_THROW(c.gate(0), ContractViolation);
 }
 
-TEST(Circuit, CountsTwoQubitGatesAndSwaps) {
-  Circuit c(4);
-  c.h(0);
-  c.cx(0, 1);
-  c.swap(1, 2);
-  c.cz(2, 3);
-  c.ccx(0, 1, 2);
-  EXPECT_EQ(c.two_qubit_gate_count(), 3u);  // cx, swap, cz
-  EXPECT_EQ(c.swap_count(), 1u);
-}
-
 TEST(Circuit, UsedQubitCount) {
   Circuit c(10);
   EXPECT_EQ(c.used_qubit_count(), 0);

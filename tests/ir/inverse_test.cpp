@@ -87,7 +87,7 @@ TEST(Inverse, CircuitInverseReversesOrder) {
 TEST(Mirror, ReturnsToGroundState) {
   for (const auto& circuit :
        {workloads::qft(5), workloads::w_state(4),
-        workloads::hidden_shift(4, 0b0110) /* has measures... */}) {
+        workloads::bernstein_vazirani(4, 0b0110) /* has measures... */}) {
     // Strip measures for mirroring.
     Circuit unitary_only(circuit.num_qubits(), circuit.name());
     for (const Gate& g : circuit.gates()) {

@@ -4,11 +4,13 @@
 
 #include "codar/arch/device.hpp"
 #include "codar/workloads/generators.hpp"
+#include "support/mapping_cost.hpp"
 
 namespace codar::layout {
 namespace {
 
 using ir::Circuit;
+using codar::testing::mapping_cost;
 
 TEST(InteractionGraph, CountsTwoQubitGates) {
   Circuit c(3);
@@ -82,43 +84,6 @@ TEST(GreedyInteractionLayout, BeatsWorstCaseOnStarCircuit) {
             mapping_cost(ig, dev.graph, Layout(5, 9)));
   // All four partners adjacent to the hub is achievable on a 3x3 grid.
   EXPECT_EQ(mapping_cost(ig, dev.graph, greedy), 4);
-}
-
-TEST(AnnealedLayout, NeverWorseThanItsStart) {
-  const arch::Device dev = arch::grid(4, 4);
-  const Circuit c = workloads::random_circuit(12, 300, 0.6, 3);
-  const InteractionGraph ig(c);
-  const Layout start = random_layout(12, 16, 7);
-  const Layout annealed = annealed_layout(c, dev.graph, start, 11, 1500);
-  EXPECT_LE(mapping_cost(ig, dev.graph, annealed),
-            mapping_cost(ig, dev.graph, start));
-}
-
-TEST(AnnealedLayout, DeterministicGivenSeed) {
-  const arch::Device dev = arch::grid(3, 3);
-  const Circuit c = workloads::qft(6);
-  const Layout start(6, 9);
-  const Layout a = annealed_layout(c, dev.graph, start, 5, 500);
-  const Layout b = annealed_layout(c, dev.graph, start, 5, 500);
-  EXPECT_EQ(a, b);
-}
-
-TEST(AnnealedLayout, ZeroIterationsReturnsStart) {
-  const arch::Device dev = arch::linear(4);
-  Circuit c(3);
-  c.cx(0, 2);
-  const Layout start(3, 4);
-  EXPECT_EQ(annealed_layout(c, dev.graph, start, 1, 0), start);
-}
-
-TEST(AnnealedLayout, ImprovesGreedyOnDenseCircuit) {
-  const arch::Device dev = arch::grid(4, 4);
-  const Circuit c = workloads::qft(12);
-  const InteractionGraph ig(c);
-  const Layout greedy = greedy_interaction_layout(c, dev.graph);
-  const Layout annealed = annealed_layout(c, dev.graph, greedy, 13, 3000);
-  EXPECT_LE(mapping_cost(ig, dev.graph, annealed),
-            mapping_cost(ig, dev.graph, greedy));
 }
 
 }  // namespace

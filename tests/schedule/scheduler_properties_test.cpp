@@ -2,12 +2,14 @@
 
 #include "codar/schedule/scheduler.hpp"
 #include "codar/workloads/generators.hpp"
+#include "support/unweighted_depth.hpp"
 
 namespace codar::schedule {
 namespace {
 
 using arch::DurationMap;
 using ir::Circuit;
+using codar::testing::unweighted_depth;
 
 // Invariant sweeps of the ASAP scheduler over random circuits.
 

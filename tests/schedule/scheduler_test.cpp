@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "support/unweighted_depth.hpp"
+
 namespace codar::schedule {
 namespace {
 
 using arch::DurationMap;
 using ir::Circuit;
 using ir::Qubit;
+using codar::testing::unweighted_depth;
 
 TEST(AsapSchedule, EmptyCircuit) {
   const Circuit c(2);
@@ -33,7 +36,7 @@ TEST(AsapSchedule, ParallelGatesOverlap) {
   c.h(2);
   const Schedule s = asap_schedule(c, DurationMap());
   EXPECT_EQ(s.makespan, 1);
-  EXPECT_EQ(s.active_gates_at(0), 3);
+  for (const ScheduledGate& g : s.gates) EXPECT_EQ(g.start, 0);
 }
 
 TEST(AsapSchedule, PaperFig2Timing) {
@@ -139,17 +142,6 @@ TEST(UnweightedDepth, BarriersDoNotAddALayer) {
   c.barrier(both);
   c.h(1);
   EXPECT_EQ(unweighted_depth(c), 2);
-}
-
-TEST(Schedule, ActiveGatesAt) {
-  Circuit c(2);
-  c.cx(0, 1);  // 0..2
-  c.h(0);      // 2..3
-  const Schedule s = asap_schedule(c, DurationMap());
-  EXPECT_EQ(s.active_gates_at(0), 1);
-  EXPECT_EQ(s.active_gates_at(1), 1);
-  EXPECT_EQ(s.active_gates_at(2), 1);
-  EXPECT_EQ(s.active_gates_at(3), 0);
 }
 
 }  // namespace

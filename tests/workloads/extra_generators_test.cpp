@@ -58,57 +58,5 @@ TEST(Qpe, StructureIsCu1Heavy) {
   EXPECT_EQ(cu1, 21u);
 }
 
-TEST(HiddenShift, RecoversShiftDeterministically) {
-  for (const std::uint64_t shift : {0b0000ULL, 0b1010ULL, 0b0111ULL,
-                                    0b1111ULL}) {
-    const Circuit c = hidden_shift(4, shift);
-    Statevector psi(4);
-    psi.apply(c);
-    EXPECT_NEAR(std::norm(psi.amp(static_cast<std::size_t>(shift))), 1.0,
-                1e-9)
-        << "shift " << shift;
-  }
-}
-
-TEST(HiddenShift, LargerInstance) {
-  const std::uint64_t shift = 0b101101;
-  const Circuit c = hidden_shift(6, shift);
-  Statevector psi(6);
-  psi.apply(c);
-  EXPECT_NEAR(std::norm(psi.amp(static_cast<std::size_t>(shift))), 1.0,
-              1e-9);
-}
-
-TEST(HiddenShift, RejectsOddWidth) {
-  EXPECT_THROW(hidden_shift(5, 1), ContractViolation);
-  EXPECT_THROW(hidden_shift(4, 1u << 4), ContractViolation);
-}
-
-TEST(QuantumVolume, StructureAndDeterminism) {
-  const Circuit a = quantum_volume(6, 4, 11);
-  const Circuit b = quantum_volume(6, 4, 11);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.gate(i), b.gate(i));
-  // 3 pairs per layer, each pair = 6 u3 + 2 cx.
-  EXPECT_EQ(a.size(), 4u * 3u * 8u);
-  std::size_t cx = 0;
-  for (const ir::Gate& g : a.gates()) {
-    if (g.kind() == GateKind::kCX) ++cx;
-  }
-  EXPECT_EQ(cx, 4u * 3u * 2u);
-}
-
-TEST(QuantumVolume, StatePreservesNorm) {
-  const Circuit c = quantum_volume(5, 3, 2);
-  Statevector psi(5);
-  psi.apply(c);
-  EXPECT_NEAR(psi.norm_squared(), 1.0, 1e-9);
-}
-
-TEST(QuantumVolume, OddQubitCountLeavesOneIdlePerLayer) {
-  const Circuit c = quantum_volume(5, 2, 9);
-  EXPECT_EQ(c.size(), 2u * 2u * 8u);  // floor(5/2)=2 pairs per layer
-}
-
 }  // namespace
 }  // namespace codar::workloads

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "codar/ir/decompose.hpp"
@@ -217,9 +218,9 @@ TEST(RandomCircuit, DeterministicGivenSeed) {
 
 TEST(RandomCircuit, RespectsTwoQubitFraction) {
   const Circuit all_2q = random_circuit(5, 200, 1.0, 7);
-  EXPECT_EQ(all_2q.two_qubit_gate_count(), 200u);
+  EXPECT_EQ(std::ranges::count(all_2q.gates(), 2, &ir::Gate::num_qubits), 200);
   const Circuit no_2q = random_circuit(5, 200, 0.0, 7);
-  EXPECT_EQ(no_2q.two_qubit_gate_count(), 0u);
+  EXPECT_EQ(std::ranges::count(no_2q.gates(), 2, &ir::Gate::num_qubits), 0);
 }
 
 TEST(QaoaMaxcut, LayersAndMixerStructure) {
