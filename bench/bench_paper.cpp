@@ -46,13 +46,15 @@ using Variants = std::vector<std::pair<std::string, RoutingSpec>>;
 using Fields = std::vector<std::pair<std::string, std::string>>;
 
 /// The paper's evaluation protocol: every router starts from the SABRE
-/// reverse-traversal initial mapping (2 rounds, seed 17), and routed
-/// circuits are scored by duration-weighted depth.
+/// reverse-traversal initial mapping (2 rounds, seed 17, searched over the
+/// whole circuit as published), and routed circuits are scored by
+/// duration-weighted depth.
 RoutingSpec protocol(const std::string& router) {
   RoutingSpec spec;
   spec.router = router;
   spec.mapping = "sabre";
   spec.mapping_rounds = 2;
+  spec.mapping_horizon = 0;
   spec.seed = 17;
   return spec;
 }

@@ -142,7 +142,11 @@ routing:
   -r, --router NAME     routing pass (default codar); see --list-routers
       --initial NAME    initial mapping (default sabre); see --list-mappings
       --seed N          initial-mapping RNG seed (default 17)
-      --mapping-rounds N  SABRE reverse-traversal rounds (default 3)
+      --mapping-rounds N  SABRE reverse-traversal rounds (default 3; >= 1)
+      --mapping-horizon N
+                        routed two-qubit gates the SABRE layout search
+                        reads from the circuit's start (default 500;
+                        0 = the whole circuit, as published)
       --peephole        run the peephole cleanup pass before routing
       --set KEY=VALUE   free-form knob for externally registered passes
                         (read via RoutingSpec::extra; cache-key relevant)

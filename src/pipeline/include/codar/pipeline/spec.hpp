@@ -35,6 +35,9 @@ struct RoutingSpec {
   core::CodarConfig codar;         ///< CODAR feature toggles / ablations.
   std::uint64_t seed = 17;         ///< Initial-mapping RNG seed.
   int mapping_rounds = 3;          ///< SABRE reverse-traversal rounds.
+  /// Routed two-qubit gates the SABRE layout search reads from the
+  /// circuit's start (0 = the whole circuit, as published).
+  int mapping_horizon = 500;
   bool verify = true;              ///< Run verify_routing after routing.
   bool peephole = false;           ///< Pre-routing peephole cleanup stage.
 

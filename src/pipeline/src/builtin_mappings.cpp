@@ -1,9 +1,10 @@
 // The three built-in initial-mapping strategies as MappingPass adapters:
 // identity, the interaction-graph greedy placement (src/layout) and
 // SABRE's reverse-traversal refinement (the paper's evaluation protocol).
-// The SABRE strategy owns the seed / rounds knobs, so --seed and
-// --mapping-rounds parse through its registry hook.
+// The SABRE strategy owns the seed / rounds / horizon knobs, so --seed,
+// --mapping-rounds and --mapping-horizon parse through its registry hook.
 
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -44,26 +45,42 @@ class GreedyMapping final : public MappingPass {
 class SabreMapping final : public MappingPass {
  public:
   explicit SabreMapping(const RoutingSpec& spec)
-      : rounds_(spec.mapping_rounds), seed_(spec.seed) {}
+      : rounds_(spec.mapping_rounds),
+        horizon_(spec.mapping_horizon),
+        seed_(spec.seed) {}
 
   std::string_view name() const override { return "sabre"; }
 
   layout::Layout choose(const ir::Circuit& circuit,
                         const arch::Device& device) const override {
     return sabre::SabreRouter(device).initial_mapping(circuit, rounds_,
-                                                      seed_);
+                                                      seed_, horizon_);
   }
 
   std::string describe_config() const override {
     std::ostringstream out;
-    out << "rounds=" << rounds_ << " seed=" << seed_;
+    out << "rounds=" << rounds_ << " seed=" << seed_
+        << " horizon=" << horizon_;
     return out.str();
   }
 
  private:
   int rounds_;
+  int horizon_;
   std::uint64_t seed_;
 };
+
+/// An integer knob that must be at least `min` and fit an int.
+int knob_at_least(const std::string& flag, const FlagValue& value, int min) {
+  const long long n = knob_int(flag, value());
+  if (n < min) {
+    throw UsageError(flag + " must be >= " + std::to_string(min));
+  }
+  if (n > std::numeric_limits<int>::max()) {
+    throw UsageError(flag + " is out of range");
+  }
+  return static_cast<int>(n);
+}
 
 /// The reverse-traversal knobs (previously inlined in parse_routing_flag).
 bool parse_sabre_mapping_flag(RoutingSpec& spec, const std::string& flag,
@@ -71,10 +88,9 @@ bool parse_sabre_mapping_flag(RoutingSpec& spec, const std::string& flag,
   if (flag == "--seed") {
     spec.seed = static_cast<std::uint64_t>(knob_int(flag, value()));
   } else if (flag == "--mapping-rounds") {
-    spec.mapping_rounds = static_cast<int>(knob_int(flag, value()));
-    if (spec.mapping_rounds < 0) {
-      throw UsageError("--mapping-rounds must be >= 0");
-    }
+    spec.mapping_rounds = knob_at_least(flag, value, 1);
+  } else if (flag == "--mapping-horizon") {
+    spec.mapping_horizon = knob_at_least(flag, value, 0);
   } else {
     return false;
   }

@@ -55,8 +55,14 @@ class SabreRouter {
   /// The passes only move the layout (no routed circuit is built), and the
   /// result equals taking each full route()'s final layout in turn.
   /// The paper's evaluation hands this same mapping to both routers.
+  ///
+  /// `horizon` bounds the search: when it is positive and the circuit has
+  /// more routed two-qubit gates than that, every pass reads only the
+  /// prefix ending at the horizon-th such gate, and the result equals
+  /// initial_mapping() of that prefix. 0 searches the whole circuit.
   layout::Layout initial_mapping(const ir::Circuit& circuit, int rounds = 3,
-                                 std::uint64_t seed = 17) const;
+                                 std::uint64_t seed = 17,
+                                 int horizon = 0) const;
 
  private:
   arch::Device device_;  ///< Copied: the router owns its device model.

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "codar/arch/distance_oracle.hpp"
 #include "codar/ir/dag.hpp"
@@ -23,6 +26,22 @@ constexpr std::size_t kMaxIterations = 50'000'000;
 
 bool is_routed_two_qubit(const Gate& g) {
   return g.num_qubits() == 2 && g.kind() != GateKind::kBarrier;
+}
+
+/// The length of the prefix the layout search reads: up to and including
+/// the horizon-th routed two-qubit gate when the circuit has more of them
+/// than `horizon`, else the whole circuit (always, for horizon 0).
+std::size_t horizon_end(const ir::Circuit& circuit, int horizon) {
+  if (horizon <= 0) return circuit.size();
+  int seen = 0;
+  std::size_t end = circuit.size();
+  for (std::size_t i = 0; i < circuit.size(); ++i) {
+    if (!is_routed_two_qubit(circuit.gate(i))) continue;
+    if (seen == horizon) return end;
+    ++seen;
+    end = i + 1;
+  }
+  return circuit.size();
 }
 
 /// Advances a stamp epoch, clearing the marks on wrap-around so a stale
@@ -394,19 +413,31 @@ RoutingResult SabreRouter::route(const ir::Circuit& circuit) const {
 }
 
 layout::Layout SabreRouter::initial_mapping(const ir::Circuit& circuit,
-                                            int rounds,
-                                            std::uint64_t seed) const {
+                                            int rounds, std::uint64_t seed,
+                                            int horizon) const {
   CODAR_EXPECTS(rounds >= 1);
+  CODAR_EXPECTS(horizon >= 0);
   CODAR_EXPECTS(ir::is_two_qubit_lowered(circuit));
   CODAR_EXPECTS(circuit.num_qubits() <= device_.graph.num_qubits());
   layout::Layout layout = layout::random_layout(
       circuit.num_qubits(), device_.graph.num_qubits(), seed);
-  const ir::Circuit reversed = circuit.reversed();
-  const ir::DependencyDag forward_dag(circuit);
+  // The search returns the layout for the circuit's start, which gates
+  // far past the horizon barely move: every traversal reads the prefix.
+  std::optional<ir::Circuit> prefix;
+  if (const std::size_t end = horizon_end(circuit, horizon);
+      end < circuit.size()) {
+    const std::span<const Gate> head = circuit.gates().first(end);
+    prefix.emplace(circuit.num_qubits(), circuit.name(),
+                   std::vector<Gate>(head.begin(), head.end()));
+  }
+  const ir::Circuit& searched = prefix ? *prefix : circuit;
+  const ir::Circuit reversed = searched.reversed();
+  const ir::DependencyDag forward_dag(searched);
   const ir::DependencyDag reverse_dag(reversed);
   Scratch scratch;
   for (int r = 0; r < rounds; ++r) {
-    SabreRun(device_, config_, circuit, forward_dag, layout, nullptr, scratch)
+    SabreRun(device_, config_, searched, forward_dag, layout, nullptr,
+             scratch)
         .run();
     SabreRun(device_, config_, reversed, reverse_dag, layout, nullptr, scratch)
         .run();

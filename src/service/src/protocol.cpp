@@ -1,8 +1,10 @@
 #include "codar/service/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "codar/arch/device_json.hpp"
 #include "codar/common/fnv.hpp"
@@ -33,6 +35,18 @@ long long require_int(const common::Json& v, const char* key) {
     bad(std::string("'") + key + "' must be an integer");
   }
   return static_cast<long long>(d);
+}
+
+/// An integer option that must be at least `min` and fit an int.
+int require_int_at_least(const common::Json& v, const char* key, int min) {
+  const long long n = require_int(v, key);
+  if (n < min) {
+    bad(std::string("'") + key + "' must be >= " + std::to_string(min));
+  }
+  if (n > std::numeric_limits<int>::max()) {
+    bad(std::string("'") + key + "' is out of range");
+  }
+  return static_cast<int>(n);
 }
 
 double require_finite(const common::Json& v, const char* key) {
@@ -67,9 +81,9 @@ void apply_option(cli::Options& opts, const std::string& key,
   } else if (key == "seed") {
     opts.seed = static_cast<std::uint64_t>(require_int(v, "seed"));
   } else if (key == "mapping_rounds") {
-    const long long n = require_int(v, "mapping_rounds");
-    if (n < 0) bad("'mapping_rounds' must be >= 0");
-    opts.mapping_rounds = static_cast<int>(n);
+    opts.mapping_rounds = require_int_at_least(v, "mapping_rounds", 1);
+  } else if (key == "mapping_horizon") {
+    opts.mapping_horizon = require_int_at_least(v, "mapping_horizon", 0);
   } else if (key == "peephole") {
     opts.peephole = require_bool(v, "peephole");
   } else if (key == "verify") {
@@ -87,9 +101,8 @@ void apply_option(cli::Options& opts, const std::string& key,
   } else if (key == "window") {
     opts.codar.front_window = static_cast<int>(require_int(v, "window"));
   } else if (key == "stagnation") {
-    const long long n = require_int(v, "stagnation");
-    if (n < 1) bad("'stagnation' must be >= 1");
-    opts.codar.stagnation_threshold = static_cast<int>(n);
+    opts.codar.stagnation_threshold =
+        require_int_at_least(v, "stagnation", 1);
   } else if (key == "alpha") {
     opts.fid.alpha = require_finite(v, "alpha");
   } else if (key == "beta") {
@@ -227,11 +240,12 @@ ServeRequest parse_request(const std::string& line,
 
 std::uint64_t options_fingerprint(const cli::Options& opts) {
   common::Fnv1a h;
-  h.u64(3);  // fingerprint schema version (3: + codar-fid objective weights)
+  h.u64(4);  // fingerprint schema version (4: + SABRE layout horizon)
   h.str(opts.router);
   h.str(opts.mapping);
   h.u64(opts.seed);
   h.i64(opts.mapping_rounds);
+  h.i64(opts.mapping_horizon);
   h.byte(opts.peephole ? 1 : 0);
   h.byte(opts.verify ? 1 : 0);
   h.byte(opts.codar.context_aware ? 1 : 0);

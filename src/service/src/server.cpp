@@ -903,9 +903,10 @@ service options:
 
 request defaults (overridable per request; same meaning as in batch mode):
   -d, --device SPEC  -r, --router NAME  --initial NAME  --seed N
-      --mapping-rounds N  --peephole  --no-verify  --timing
-      --no-context --no-duration --no-commutativity --no-fine-priority
-      --window N --stagnation N --set KEY=VALUE
+      --mapping-rounds N  --mapping-horizon N  --peephole  --no-verify
+      --timing  --no-context --no-duration --no-commutativity
+      --no-fine-priority --window N --stagnation N
+      --alpha X --beta X --gamma X --set KEY=VALUE
 )";
 }
 

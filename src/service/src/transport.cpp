@@ -161,6 +161,12 @@ class SocketListener final : public Listener {
       const int client =
           ::accept(fd_.get(), reinterpret_cast<sockaddr*>(&addr), &len);
       if (client < 0) continue;  // transient (ECONNABORTED, EMFILE, ...)
+      if (addr.ss_family == AF_INET || addr.ss_family == AF_INET6) {
+        // Responses are short lines, often written back to back: under
+        // Nagle a second one would wait for the client's delayed ACK.
+        const int one = 1;
+        ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      }
       return std::make_unique<SocketConnection>(
           Fd(client),
           address_label(reinterpret_cast<sockaddr*>(&addr), len));

@@ -1,15 +1,21 @@
 // Tests for the composable compilation pipeline: a round-trip over every
 // registered router × mapping combination, the stage sequence and its
-// instrumentation, failure reporting, and the JSON contract that stage
-// timings stay out of the stats unless the caller opted in (--timing).
+// instrumentation, failure reporting, the JSON contract that stage
+// timings stay out of the stats unless the caller opted in (--timing),
+// and the router's clock bounding the scheduled depth.
 
 #include <algorithm>
+#include <cctype>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "codar/arch/device.hpp"
 #include "codar/cli/report.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/pipeline.hpp"
+#include "codar/workloads/suite.hpp"
 
 namespace codar::pipeline {
 namespace {
@@ -138,6 +144,55 @@ TEST(Pipeline, StageTimingsAreExcludedFromJsonUnlessTimingIsSet) {
   EXPECT_NE(with_timing.find("\"route\": "), std::string::npos)
       << with_timing;
 }
+
+// The ASAP scheduler only removes the router's decision delays, so the
+// weighted depth of a routed circuit never exceeds the router's own
+// makespan; a violation means the two timing models disagree (say, on
+// calibrated per-edge durations). Suite circuits of up to 4000 gates.
+class TimingInvariant
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+};
+
+TEST_P(TimingInvariant, ScheduledDepthNeverExceedsRouterMakespan) {
+  const auto& [device_spec, router] = GetParam();
+  const arch::Device device = DeviceRegistry::instance().make(device_spec);
+  RoutingSpec spec;
+  spec.router = router;
+  const Pipeline pipe(device, spec);
+  int routed = 0;
+  for (const workloads::BenchmarkSpec& bench : workloads::benchmark_suite()) {
+    if (bench.circuit.size() > 4000 ||
+        bench.circuit.num_qubits() > device.graph.num_qubits()) {
+      continue;
+    }
+    const RouteReport report = pipe.run(bench.circuit);
+    ASSERT_TRUE(report.ok()) << bench.name << ": " << report.error;
+    EXPECT_LE(report.depth_out, report.makespan) << bench.name;
+    ++routed;
+  }
+  EXPECT_GE(routed, 60);
+}
+
+const std::string kExampleDevices =
+    std::string("file:") + CODAR_SOURCE_ROOT + "/examples/devices/";
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperAndCalibratedDevices, TimingInvariant,
+    ::testing::Combine(
+        ::testing::Values("q16", "tokyo", "enfield", "sycamore",
+                          kExampleDevices + "tokyo_calibrated.json",
+                          kExampleDevices + "tokyo-noisy.json"),
+        ::testing::Values("codar", "codar-fid")),
+    [](const ::testing::TestParamInfo<TimingInvariant::ParamType>&
+           param_info) {
+      std::string name = std::get<0>(param_info.param) + "_" +
+                         std::get<1>(param_info.param);
+      name = name.substr(name.rfind('/') + 1);
+      for (char& c : name) {
+        if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace codar::pipeline

@@ -117,9 +117,34 @@ TEST(PassRegistry, MappingKnobHooksParseSeedAndRounds) {
   EXPECT_EQ(spec.seed, 99u);
   EXPECT_TRUE(reg.parse_knob(spec, "--mapping-rounds", [] { return "5"; }));
   EXPECT_EQ(spec.mapping_rounds, 5);
-  EXPECT_THROW(
-      reg.parse_knob(spec, "--mapping-rounds", [] { return "-1"; }),
-      UsageError);
+  // Zero rounds would fail inside every route: a usage error instead.
+  for (const char* bad : {"-1", "0", "2.5", "4294967297"}) {
+    EXPECT_THROW(
+        reg.parse_knob(spec, "--mapping-rounds", [bad] { return bad; }),
+        UsageError)
+        << bad;
+  }
+  EXPECT_EQ(spec.mapping_rounds, 5);
+}
+
+TEST(PassRegistry, MappingKnobHookParsesHorizon) {
+  RoutingSpec spec;
+  EXPECT_GT(spec.mapping_horizon, 0);  // bounded by default
+  const MappingRegistry& reg = MappingRegistry::instance();
+  EXPECT_TRUE(
+      reg.parse_knob(spec, "--mapping-horizon", [] { return "250"; }));
+  EXPECT_EQ(spec.mapping_horizon, 250);
+  EXPECT_TRUE(reg.parse_knob(spec, "--mapping-horizon", [] { return "0"; }));
+  EXPECT_EQ(spec.mapping_horizon, 0);
+  for (const char* bad : {"-1", "1.5", "many", "", "4294967296"}) {
+    EXPECT_THROW(
+        reg.parse_knob(spec, "--mapping-horizon", [bad] { return bad; }),
+        UsageError)
+        << bad;
+  }
+  EXPECT_EQ(spec.mapping_horizon, 0);
+  const std::unique_ptr<MappingPass> pass = reg.at("sabre").make(spec);
+  EXPECT_NE(pass->describe_config().find("horizon=0"), std::string::npos);
 }
 
 TEST(RoutingSpec, ExtrasAreSortedAndReplaceable) {

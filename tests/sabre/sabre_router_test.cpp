@@ -1,10 +1,16 @@
 #include "codar/sabre/sabre_router.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "codar/arch/device.hpp"
 #include "codar/schedule/scheduler.hpp"
 #include "codar/workloads/generators.hpp"
+#include "codar/workloads/suite.hpp"
 #include "support/routing_checks.hpp"
 
 namespace codar::sabre {
@@ -112,6 +118,85 @@ TEST(SabreRouter, InitialMappingReducesSwapCount) {
   const auto swaps_random = router.route(c, random).stats.swaps_inserted;
   EXPECT_LE(swaps_refined, swaps_random + swaps_random / 4)
       << "refined mapping should not be much worse than random";
+}
+
+bool routed_two_qubit(const ir::Gate& g) {
+  return g.num_qubits() == 2 && g.kind() != GateKind::kBarrier;
+}
+
+std::size_t two_qubit_count(const Circuit& c) {
+  std::size_t n = 0;
+  for (const ir::Gate& g : c.gates()) n += routed_two_qubit(g) ? 1 : 0;
+  return n;
+}
+
+/// The circuit's gates up to and including its k-th routed 2-qubit gate.
+Circuit two_qubit_prefix(const Circuit& c, std::size_t k) {
+  Circuit prefix(c.num_qubits(), c.name());
+  std::size_t seen = 0;
+  for (const ir::Gate& g : c.gates()) {
+    if (seen == k) break;
+    prefix.add(g);
+    seen += routed_two_qubit(g) ? 1 : 0;
+  }
+  return prefix;
+}
+
+TEST(SabreRouter, HorizonAtOrPastTheCircuitKeepsTheWholeCircuitLayout) {
+  // Every suite circuit that fits tokyo, cut to 4000 gates so the
+  // sanitizer lanes stay fast: horizon 0 and every horizon that covers
+  // all routed 2-qubit gates search the whole circuit.
+  const arch::Device dev = arch::ibm_q20_tokyo();
+  const SabreRouter router(dev);
+  for (const workloads::BenchmarkSpec& spec : workloads::benchmark_suite()) {
+    if (spec.circuit.num_qubits() > dev.graph.num_qubits()) continue;
+    const std::span<const ir::Gate> gates =
+        spec.circuit.gates().first(std::min<std::size_t>(
+            spec.circuit.size(), 4000));
+    const Circuit c(spec.circuit.num_qubits(), spec.name,
+                    std::vector<ir::Gate>(gates.begin(), gates.end()));
+    const layout::Layout whole = router.initial_mapping(c, 3, 17);
+    const int count = static_cast<int>(two_qubit_count(c));
+    for (const int horizon :
+         {0, count, count + 1, std::numeric_limits<int>::max()}) {
+      EXPECT_EQ(router.initial_mapping(c, 3, 17, horizon), whole)
+          << spec.name << " horizon " << horizon;
+    }
+  }
+}
+
+TEST(SabreRouter, HorizonSearchesExactlyTheTwoQubitPrefix) {
+  // The prefix ends at the k-th routed 2-qubit gate, whatever the
+  // single-qubit gates and barriers around it.
+  const arch::Device dev = arch::ibm_q20_tokyo();
+  const SabreRouter router(dev);
+  Circuit fenced = workloads::random_circuit(12, 400, 0.5, 31);
+  const ir::Qubit pair[] = {3, 7};  // a 2-qubit barrier is not routed
+  fenced.barrier(pair);
+  fenced.append(workloads::qft(12));
+  fenced.append(workloads::random_circuit(12, 1000, 0.5, 32));
+  for (const Circuit& c :
+       {workloads::random_circuit(16, 4000, 0.5, 5), fenced}) {
+    const std::size_t count = two_qubit_count(c);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{7},
+                                std::size_t{250}, std::size_t{500}}) {
+      ASSERT_LT(k, count) << c.name();
+      const Circuit prefix = two_qubit_prefix(c, k);
+      ASSERT_EQ(two_qubit_count(prefix), k);
+      EXPECT_EQ(router.initial_mapping(c, 2, 9, static_cast<int>(k)),
+                router.initial_mapping(prefix, 2, 9))
+          << c.name() << " horizon " << k;
+    }
+  }
+}
+
+TEST(SabreRouter, InitialMappingRejectsBadKnobs) {
+  const arch::Device dev = arch::linear(3);
+  Circuit c(3);
+  c.cx(0, 2);
+  const SabreRouter router(dev);
+  EXPECT_THROW(router.initial_mapping(c, 0, 17), ContractViolation);
+  EXPECT_THROW(router.initial_mapping(c, 1, 17, -1), ContractViolation);
 }
 
 TEST(SabreRouter, EmitsOnlyDagFrontGates) {

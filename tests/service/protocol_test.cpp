@@ -145,6 +145,33 @@ TEST(ParseRequest, FidWeightOptionsParseAndValidate) {
                ProtocolError);
 }
 
+TEST(ParseRequest, MappingKnobOptionsParseAndValidate) {
+  const ServeRequest req = parse_request(
+      R"({"suite_name": "ghz_3",
+          "options": {"mapping_rounds": 1, "mapping_horizon": 0}})",
+      defaults());
+  EXPECT_EQ(req.opts.mapping_rounds, 1);
+  EXPECT_EQ(req.opts.mapping_horizon, 0);
+  EXPECT_EQ(parse_request(R"({"suite_name": "ghz_3",
+                              "options": {"mapping_horizon": 250}})",
+                          defaults())
+                .opts.mapping_horizon,
+            250);
+  // Zero rounds would fail inside routing and send the server's internal
+  // message back to the client: reject it as a bad request instead.
+  for (const char* options :
+       {R"({"mapping_rounds": 0})", R"({"mapping_rounds": -2})",
+        R"({"mapping_rounds": 1e12})", R"({"mapping_horizon": -1})",
+        R"({"mapping_horizon": 1.5})", R"({"mapping_horizon": "500"})",
+        R"({"mapping_horizon": 4294967296})"}) {
+    EXPECT_THROW(parse_request(std::string(R"({"suite_name": "ghz_3", )") +
+                                   R"("options": )" + options + "}",
+                               defaults()),
+                 ProtocolError)
+        << options;
+  }
+}
+
 TEST(ParseRequest, FullRouteRequest) {
   const ServeRequest req = parse_request(
       R"({"id": "abc", "qasm": "OPENQASM 2.0;", "device": "linear:5",

@@ -101,11 +101,14 @@ TEST(RouteCache, RealFingerprintsGiveDistinctKeys) {
   with_extra.set_extra("beam", "8");
   cli::Options reweighted = base;
   reweighted.fid.beta = 0.0;  // result-changing for codar-fid
+  cli::Options whole_circuit = base;
+  whole_circuit.mapping_horizon = 0;  // layout searched past the horizon
   EXPECT_NE(options_fingerprint(base), options_fingerprint(sabre));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(no_context));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(reseeded));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(with_extra));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(reweighted));
+  EXPECT_NE(options_fingerprint(base), options_fingerprint(whole_circuit));
 
   EXPECT_NE(arch::ibm_q20_tokyo().fingerprint(),
             arch::enfield_6x6().fingerprint());

@@ -1,9 +1,11 @@
 // Transport-layer tests: listen-spec parsing, TCP and Unix-domain
 // listener/connection round trips, ephemeral-port resolution, read
-// timeouts, close() waking accept(), and write-after-disconnect failure.
+// timeouts, close() waking accept(), write-after-disconnect failure, and
+// short responses not waiting for a lazily acknowledging client.
 
 #include "codar/service/transport.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -105,6 +107,42 @@ TEST(TransportTest, TcpEphemeralPortRoundTrip) {
   EXPECT_EQ(endpoint.rfind("tcp:127.0.0.1:", 0), 0u) << endpoint;
   EXPECT_NE(endpoint, "tcp:127.0.0.1:0");
   round_trip_over(*listener);
+}
+
+TEST(TransportTest, TcpShortResponsesDoNotWaitForDelayedAcks) {
+  // A default client delays its ACKs (40 ms on Linux once the connection
+  // leaves quick-ACK mode). If the served side ran Nagle's algorithm, the
+  // second of two short lines written back to back would wait for the ACK
+  // of the first, so every round would take about 40 ms.
+  constexpr int kWarmupRounds = 40;
+  constexpr int kRounds = 20;
+  const auto listener = make_listener(parse_listen_spec("tcp:127.0.0.1:0"));
+  std::unique_ptr<Connection> client;
+  std::thread connector([&client, endpoint = listener->endpoint()] {
+    client = connect_endpoint(endpoint, /*timeout_ms=*/5000);
+  });
+  const std::unique_ptr<Connection> served = listener->accept();
+  connector.join();
+  ASSERT_NE(served, nullptr);
+  ASSERT_NE(client, nullptr);
+
+  std::thread responder([&served] {
+    for (int i = 0; i < kWarmupRounds + kRounds; ++i) {
+      if (read_exact(*served, 2) != "?\n") return;
+      if (!served->write_all("a\n") || !served->write_all("b\n")) return;
+    }
+  });
+  auto round = [&client] {
+    EXPECT_TRUE(client->write_all("?\n"));
+    EXPECT_EQ(read_exact(*client, 4), "a\nb\n");
+  };
+  for (int i = 0; i < kWarmupRounds; ++i) round();
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRounds; ++i) round();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  responder.join();
+  EXPECT_LT(elapsed, kRounds * std::chrono::milliseconds(40) / 4)
+      << "short responses waited for the client's delayed ACKs";
 }
 
 TEST(TransportTest, UnixSocketRoundTripAndStaleFileReuse) {
