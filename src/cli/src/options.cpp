@@ -17,8 +17,7 @@ bool parse_routing_flag(Options& opts, const std::string& arg,
   } else if (arg == "--initial") {
     opts.mapping = pipeline::MappingRegistry::instance().at(value()).name;
   } else if (arg == "--threads" || arg == "-j") {
-    opts.threads = static_cast<int>(pipeline::knob_int(arg, value()));
-    if (opts.threads < 0) throw pipeline::UsageError("--threads must be >= 0");
+    opts.threads = pipeline::knob_at_least(arg, value(), 0);
   } else if (arg == "--set") {
     // Free-form knob for externally registered passes (see
     // RoutingSpec::extras); built-in knobs have dedicated flags.

@@ -7,28 +7,26 @@
 // sharing a wire with g commutes with it (with commutativity awareness off,
 // iff no earlier alive gate shares a wire — the plain DAG front). The
 // original router recomputed this from scratch with a full window rescan
-// after every retirement, making the hot loop O(window · wire-depth)
-// commute checks *per iteration*. This structure maintains the identical
-// set incrementally: each (blocker, blockee) pair is examined O(1) times
-// per retirement event instead of once per rescan.
+// after every retirement. This structure maintains the identical set under
+// a nearest-blocker invariant:
 //
-// Representation:
-//  * a doubly-linked list over alive gates in program order (the window is
-//    always the first min(window, live) alive gates, so the boundary is a
-//    single cursor into this list);
-//  * one doubly-linked list per wire over the alive gates acting on it
-//    (gates link in per-operand slots, so unlinking a retired gate is
-//    O(num_operands));
-//  * per windowed gate, block_count = number of earlier alive gates that
-//    block it; the gate is front iff block_count == 0.
+//  * every gate operand is a *slot* in a doubly-linked list over the alive
+//    gates on its wire, in program order;
+//  * each slot of a windowed gate is either free or *parked* on the
+//    nearest earlier alive slot on its wire whose gate blocks it, found by
+//    walking the wire list backward; every gate passed on the way commutes
+//    with the slot's gate;
+//  * a windowed gate is front iff none of its slots is parked.
 //
-// retire(g) unlinks g, walks forward along each of g's wire lists over the
-// still-windowed gates re-evaluating only the pairs g participated in, and
-// admits gates past the old window boundary (computing their block_count
-// against earlier alive wire predecessors — all of which are in the window,
-// because the window is an alive-prefix). Equivalence with the rescan
-// definition is locked in by randomized differential tests against
-// commutative_front() and the preserved oracle router.
+// Every slot heads an intrusive list of the slots parked on it. retire(g)
+// resumes each walk parked on g from g's own predecessor on that wire:
+// retirement only removes gates, so the gates already passed still commute,
+// and no (blocker, blockee) pair is ever tested twice on a wire. Admitting
+// the gate past the window boundary starts its walks at its wire
+// predecessors, all of which are in the window because the window is an
+// alive prefix. Equivalence with the rescan definition is locked in by
+// randomized differential tests against commutative_front() and the
+// preserved oracle router.
 
 #include <span>
 #include <vector>
@@ -57,59 +55,49 @@ class CommutativeFront {
     return alive_[static_cast<std::size_t>(gate_index)] != 0;
   }
 
-  /// Retires a gate currently in the front, updating the front in
-  /// O(deg + admissions) pair re-evaluations.
+  /// Retires a gate currently in the front, resuming the walks of the slots
+  /// parked on it and admitting gates past the window boundary.
   void retire(int gate_index);
 
  private:
-  /// Per-operand wire-list links of one gate slot.
-  struct WireLink {
-    int prev = -1;  ///< Previous alive gate on this wire (gate index).
-    int next = -1;  ///< Next alive gate on this wire (gate index).
+  /// One operand of one gate.
+  struct Slot {
+    int gate = -1;         ///< Owning gate.
+    int prev = -1;         ///< Previous alive slot on this wire.
+    int next = -1;         ///< Next alive slot on this wire.
+    int parked = -1;       ///< First slot parked on this one.
+    int next_parked = -1;  ///< Next slot parked on the same blocker.
   };
 
-  std::size_t slot(int gate_index, int operand) const {
-    return static_cast<std::size_t>(slot_offset_[
-               static_cast<std::size_t>(gate_index)] + operand);
-  }
-
-  /// True when earlier gate h blocks later gate g (they share >= 1 wire by
-  /// construction of the wire lists).
+  /// True when earlier gate h blocks later gate g (they share a wire).
   bool blocks(int h, int g) const;
 
-  /// The operand position of `wire` within the gate (the gate acts on it).
-  int wire_slot_of(int gate_index, ir::Qubit wire) const;
+  /// Walks backward from wire slot `from` to the nearest slot whose gate
+  /// blocks slot `s`'s gate and parks `s` there. False when none is left.
+  bool park(int s, int from);
 
-  /// Admits the gate at the window cursor: computes its block_count against
-  /// earlier alive gates (walking its wire predecessor chains) and advances
-  /// the cursor.
+  /// Admits the gate at the window boundary, parking each of its slots.
   void admit_next();
 
   void front_insert(int gate_index);
   void front_erase(int gate_index);
 
   std::span<const ir::Gate> gates_;
-  std::size_t window_cap_;  ///< Max gates in the window (SIZE_MAX = unbounded).
+  std::size_t window_cap_;  ///< Max gates in the window.
   bool use_commutativity_;
 
   std::vector<char> alive_;
-  std::vector<char> in_window_;
-  std::vector<int> block_count_;
   std::size_t live_count_ = 0;
   std::size_t window_size_ = 0;
+  /// First gate beyond the window. Only front gates retire, so every gate
+  /// from here on is alive and the window boundary is a plain index.
+  std::size_t next_admit_ = 0;
 
-  // Global alive list (program order).
-  std::vector<int> next_alive_;
-  std::vector<int> prev_alive_;
-  int first_alive_ = -1;
-  int window_next_ = -1;  ///< First alive gate beyond the window; -1 = none.
+  std::vector<int> slot_offset_;   ///< gate -> its first slot.
+  std::vector<Slot> slots_;        ///< one entry per (gate, operand).
+  std::vector<int> parked_slots_;  ///< gate -> number of its parked slots.
 
-  // Per-wire alive lists, flattened per gate operand slot.
-  std::vector<int> slot_offset_;       ///< gate -> first slot index.
-  std::vector<WireLink> wire_links_;   ///< one entry per (gate, operand).
-  std::vector<int> wire_tail_;         ///< wire -> last alive gate on it.
-
-  std::vector<int> front_;  ///< Sorted gate indices with block_count == 0.
+  std::vector<int> front_;  ///< Sorted windowed gates with no parked slot.
 };
 
 }  // namespace codar::core

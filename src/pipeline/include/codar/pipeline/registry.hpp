@@ -142,6 +142,11 @@ class MappingRegistry : public PassRegistry<MappingEntry> {
 /// throwing UsageError on garbage.
 long long knob_int(const std::string& flag, const std::string& value);
 
+/// Shared helper for knob hooks: parses a mandatory integral flag value
+/// that must be at least `min` and fit an int, throwing UsageError on
+/// garbage or an out-of-range value.
+int knob_at_least(const std::string& flag, const std::string& value, int min);
+
 /// Shared helper for knob hooks: parses a mandatory finite floating-point
 /// flag value, throwing UsageError on garbage (inf/nan included).
 double knob_double(const std::string& flag, const std::string& value);

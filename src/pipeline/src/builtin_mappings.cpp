@@ -4,7 +4,6 @@
 // The SABRE strategy owns the seed / rounds / horizon knobs, so --seed,
 // --mapping-rounds and --mapping-horizon parse through its registry hook.
 
-#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -70,27 +69,15 @@ class SabreMapping final : public MappingPass {
   std::uint64_t seed_;
 };
 
-/// An integer knob that must be at least `min` and fit an int.
-int knob_at_least(const std::string& flag, const FlagValue& value, int min) {
-  const long long n = knob_int(flag, value());
-  if (n < min) {
-    throw UsageError(flag + " must be >= " + std::to_string(min));
-  }
-  if (n > std::numeric_limits<int>::max()) {
-    throw UsageError(flag + " is out of range");
-  }
-  return static_cast<int>(n);
-}
-
 /// The reverse-traversal knobs (previously inlined in parse_routing_flag).
 bool parse_sabre_mapping_flag(RoutingSpec& spec, const std::string& flag,
                               const FlagValue& value) {
   if (flag == "--seed") {
     spec.seed = static_cast<std::uint64_t>(knob_int(flag, value()));
   } else if (flag == "--mapping-rounds") {
-    spec.mapping_rounds = knob_at_least(flag, value, 1);
+    spec.mapping_rounds = knob_at_least(flag, value(), 1);
   } else if (flag == "--mapping-horizon") {
-    spec.mapping_horizon = knob_at_least(flag, value, 0);
+    spec.mapping_horizon = knob_at_least(flag, value(), 0);
   } else {
     return false;
   }

@@ -4,6 +4,7 @@
 // it has CLI-visible knobs — a flag-parsing hook, so the CLI/serve layers
 // never name these classes.
 
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -161,13 +162,11 @@ bool parse_codar_flag(RoutingSpec& spec, const std::string& flag,
   } else if (flag == "--no-fine-priority") {
     spec.codar.fine_priority = false;
   } else if (flag == "--window") {
-    spec.codar.front_window = static_cast<int>(knob_int(flag, value()));
+    // Any int; <= 0 means unbounded.
+    spec.codar.front_window =
+        knob_at_least(flag, value(), std::numeric_limits<int>::min());
   } else if (flag == "--stagnation") {
-    spec.codar.stagnation_threshold =
-        static_cast<int>(knob_int(flag, value()));
-    if (spec.codar.stagnation_threshold < 1) {
-      throw UsageError("--stagnation must be >= 1");
-    }
+    spec.codar.stagnation_threshold = knob_at_least(flag, value(), 1);
   } else {
     return false;
   }

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 
 #include "builtins.hpp"
 
@@ -35,6 +36,18 @@ long long knob_int(const std::string& flag, const std::string& value) {
     throw UsageError(flag + " expects an integer, got '" + value + "'");
   }
   return result;
+}
+
+int knob_at_least(const std::string& flag, const std::string& value,
+                  int min) {
+  const long long n = knob_int(flag, value);
+  if (n < min) {
+    throw UsageError(flag + " must be >= " + std::to_string(min));
+  }
+  if (n > std::numeric_limits<int>::max()) {
+    throw UsageError(flag + " is out of range");
+  }
+  return static_cast<int>(n);
 }
 
 double knob_double(const std::string& flag, const std::string& value) {

@@ -99,7 +99,9 @@ void apply_option(cli::Options& opts, const std::string& key,
   } else if (key == "fine_priority") {
     opts.codar.fine_priority = require_bool(v, "fine_priority");
   } else if (key == "window") {
-    opts.codar.front_window = static_cast<int>(require_int(v, "window"));
+    // Any int; <= 0 means unbounded.
+    opts.codar.front_window =
+        require_int_at_least(v, "window", std::numeric_limits<int>::min());
   } else if (key == "stagnation") {
     opts.codar.stagnation_threshold =
         require_int_at_least(v, "stagnation", 1);

@@ -62,6 +62,7 @@ TEST(CliOptions, RejectsBadInput) {
   EXPECT_THROW(parse_args({"--router", "qiskit", "a.qasm"}), UsageError);
   EXPECT_THROW(parse_args({"--threads"}), UsageError);         // missing value
   EXPECT_THROW(parse_args({"--threads", "two", "a.qasm"}), UsageError);
+  EXPECT_THROW(parse_args({"--threads", "4294967297", "a.qasm"}), UsageError);
   EXPECT_THROW(parse_args({"--wat", "a.qasm"}), UsageError);
   EXPECT_THROW(parse_args({"a.qasm", "--suite"}), UsageError);  // two modes
   EXPECT_THROW(parse_args({"-o", "x", "a.qasm", "b.qasm"}), UsageError);

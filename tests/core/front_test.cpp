@@ -1,6 +1,9 @@
 #include "codar/core/front.hpp"
 
+#include <ostream>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,9 +136,18 @@ TEST(CommutativeFrontStructure, RetireRejectsDeadGates) {
   EXPECT_THROW(front.retire(0), ContractViolation);  // already dead
 }
 
+/// Where a differential case's circuit comes from.
+enum class Source {
+  kRandom,  ///< random_circuit (CX plus h/x/t/tdg/s/rz), a fence, a measure.
+  kQft,     ///< qft(8): cu1 ladders that commute along each wire.
+  kIsing,   ///< ising_trotter(8, 4): rzz + rx layers.
+  kQaoa,    ///< qaoa_maxcut(8, 2, seed).
+  kMix,     ///< controlled_mix(8, 120, seed).
+};
+
 /// Differential property: drive the incremental structure through random
 /// retirement orders and compare against the rescan definition after every
-/// step, across windows and both commutativity settings.
+/// step, across circuit sources, windows and both commutativity settings.
 struct FrontCase {
   int num_qubits;
   int num_gates;
@@ -143,20 +155,75 @@ struct FrontCase {
   int window;
   bool use_commutativity;
   std::uint64_t seed;
+  Source source = Source::kRandom;
 };
 
-class CommutativeFrontDifferential
-    : public ::testing::TestWithParam<FrontCase> {};
+/// Controlled gates and rotations that commute in long runs (cz, cu1, crz,
+/// rzz), ones that mostly do not (cy, ch, rx), same-pair CX runs and,
+/// halfway, a fence across every wire, chained in <= 3-qubit links as the
+/// QASM frontend emits it. In `cx a,b; cx a,b; cx b,a` the second CX walks
+/// past the first and the reversed one parks both its slots on the second.
+Circuit controlled_mix(int n, int num_gates, std::uint64_t seed) {
+  Circuit c(n);
+  std::mt19937_64 rng(seed);
+  const auto qubit = [&] { return static_cast<Qubit>(rng() % n); };
+  for (int k = 0; k < num_gates; ++k) {
+    if (k == num_gates / 2) {
+      for (Qubit q = 0; q + 1 < n; q += 2) {
+        const Qubit link[] = {q, q + 1, q + 2};
+        c.barrier(std::span(link, q + 2 < n ? 3 : 2));
+      }
+    }
+    const Qubit a = qubit();
+    Qubit b = qubit();
+    while (b == a) b = qubit();
+    const double theta = 0.125 * static_cast<double>(1 + rng() % 7);
+    switch (rng() % 8) {
+      case 0: c.cz(a, b); break;
+      case 1: c.cu1(a, b, theta); break;
+      case 2: c.crz(a, b, theta); break;
+      case 3: c.cy(a, b); break;
+      case 4: c.ch(a, b); break;
+      case 5: c.rzz(a, b, theta); break;
+      case 6: c.rx(a, theta); break;
+      default:
+        c.cx(a, b);
+        c.cx(a, b);
+        c.cx(b, a);
+        break;
+    }
+  }
+  return c;
+}
 
-TEST_P(CommutativeFrontDifferential, MatchesRescanUnderRandomRetirement) {
-  const FrontCase& tc = GetParam();
+Circuit circuit_of(const FrontCase& tc) {
+  switch (tc.source) {
+    case Source::kQft:
+      return workloads::qft(tc.num_qubits);
+    case Source::kIsing:
+      return workloads::ising_trotter(tc.num_qubits, 4);
+    case Source::kQaoa:
+      return workloads::qaoa_maxcut(tc.num_qubits, 2, tc.seed);
+    case Source::kMix:
+      return controlled_mix(tc.num_qubits, 120, tc.seed);
+    case Source::kRandom:
+      break;
+  }
   Circuit c = workloads::random_circuit(tc.num_qubits, tc.num_gates,
                                         tc.two_qubit_fraction, tc.seed);
   // Sprinkle in barriers and measures so non-unitary fencing is covered.
   const Qubit fence[] = {0, static_cast<Qubit>(tc.num_qubits - 1)};
   c.barrier(fence);
   c.measure(0);
-  const std::vector<Gate> gates = gates_of(c);
+  return c;
+}
+
+class CommutativeFrontDifferential
+    : public ::testing::TestWithParam<FrontCase> {};
+
+TEST_P(CommutativeFrontDifferential, MatchesRescanUnderRandomRetirement) {
+  const FrontCase& tc = GetParam();
+  const std::vector<Gate> gates = gates_of(circuit_of(tc));
 
   std::vector<char> alive(gates.size(), 1);
   CommutativeFront front(gates, tc.window, tc.use_commutativity);
@@ -174,6 +241,25 @@ TEST_P(CommutativeFrontDifferential, MatchesRescanUnderRandomRetirement) {
   EXPECT_TRUE(front.front().empty());
 }
 
+std::string case_name(const FrontCase& p) {
+  static const char* const kSources[] = {"", "qft", "ising", "qaoa", "mix"};
+  std::string name =
+      p.source == Source::kRandom
+          ? "q" + std::to_string(p.num_qubits) + "_g" +
+                std::to_string(p.num_gates)
+          : kSources[static_cast<int>(p.source)] +
+                std::to_string(p.num_qubits);
+  return name + "_w" + std::to_string(p.window) +
+         (p.use_commutativity ? "_cf" : "_dag") + "_s" +
+         std::to_string(p.seed);
+}
+
+void PrintTo(const FrontCase& tc, std::ostream* os) { *os << case_name(tc); }
+
+std::string param_name(const ::testing::TestParamInfo<FrontCase>& pinfo) {
+  return case_name(pinfo.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RandomRetirements, CommutativeFrontDifferential,
     ::testing::Values(FrontCase{4, 60, 0.5, 0, true, 1},
@@ -186,13 +272,29 @@ INSTANTIATE_TEST_SUITE_P(
                       FrontCase{10, 200, 0.5, 25, true, 8},
                       FrontCase{10, 200, 0.5, 25, false, 9},
                       FrontCase{5, 100, 0.3, 3, true, 10}),
-    [](const ::testing::TestParamInfo<FrontCase>& pinfo) {
-      const FrontCase& p = pinfo.param;
-      return "q" + std::to_string(p.num_qubits) + "_g" +
-             std::to_string(p.num_gates) + "_w" + std::to_string(p.window) +
-             (p.use_commutativity ? "_cf" : "_dag") + "_s" +
-             std::to_string(p.seed);
-    });
+    param_name);
+
+/// Every structured source at windows {0, 1, 8, 150} under both
+/// commutativity settings: long commuting runs, where a resumed walk
+/// passes over many gates.
+std::vector<FrontCase> commuting_run_cases() {
+  std::vector<FrontCase> cases;
+  std::uint64_t seed = 100;
+  for (const Source source :
+       {Source::kQft, Source::kIsing, Source::kQaoa, Source::kMix}) {
+    for (const int window : {0, 1, 8, 150}) {
+      for (const bool use_commutativity : {true, false}) {
+        cases.push_back(
+            {8, 0, 0.0, window, use_commutativity, ++seed, source});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(CommutingRuns, CommutativeFrontDifferential,
+                         ::testing::ValuesIn(commuting_run_cases()),
+                         param_name);
 
 }  // namespace
 }  // namespace codar::core

@@ -141,5 +141,18 @@ TEST(RouterDifferential, NamedWorkloadsMatchOracle) {
   expect_same_routing(tokyo, window1, workloads::qft(10));
 }
 
+TEST(RouterDifferential, LongCircuitsSlideTheDefaultWindow) {
+  // Longer than the default window of 150, so long commuting runs cross a
+  // sliding window boundary: a QFT round trip (420 gates), ising_16_16
+  // (496) and a 1500-gate random circuit.
+  const arch::Device tokyo = arch::ibm_q20_tokyo();
+  Circuit round_trip = workloads::qft(20);
+  round_trip.append(workloads::inverse_qft(20));
+  expect_same_routing(tokyo, CodarConfig{}, round_trip);
+  expect_same_routing(tokyo, CodarConfig{}, workloads::ising_trotter(16, 16));
+  expect_same_routing(tokyo, CodarConfig{},
+                      workloads::random_circuit(16, 1500, 0.5, 44));
+}
+
 }  // namespace
 }  // namespace codar::core

@@ -3,6 +3,8 @@
 // knob-parsing hooks that replaced parse_routing_flag's per-pass plumbing,
 // and registration validation.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "codar/arch/device.hpp"
@@ -91,6 +93,29 @@ TEST(PassRegistry, RouterKnobHooksParseCodarFlags) {
                UsageError);
   // Flags no pass owns are left for the caller.
   EXPECT_FALSE(reg.parse_knob(spec, "--batch", no_value));
+}
+
+TEST(PassRegistry, RouterKnobHooksRejectValuesOutsideInt) {
+  // Each of these used to wrap to an int: 4294967297 routed as window 1,
+  // 2147483648 as an unbounded window, 4294967298 as stagnation 2.
+  RoutingSpec spec;
+  const RouterRegistry& reg = RouterRegistry::instance();
+  for (const char* bad : {"4294967297", "2147483648", "-2147483649"}) {
+    EXPECT_THROW(reg.parse_knob(spec, "--window", [bad] { return bad; }),
+                 UsageError)
+        << bad;
+  }
+  EXPECT_THROW(
+      reg.parse_knob(spec, "--stagnation", [] { return "4294967298"; }),
+      UsageError);
+  EXPECT_EQ(spec.codar.front_window, RoutingSpec{}.codar.front_window);
+  EXPECT_EQ(spec.codar.stagnation_threshold,
+            RoutingSpec{}.codar.stagnation_threshold);
+  // The window takes any int; <= 0 means unbounded.
+  EXPECT_TRUE(reg.parse_knob(spec, "--window", [] { return "-2147483648"; }));
+  EXPECT_EQ(spec.codar.front_window, std::numeric_limits<int>::min());
+  EXPECT_TRUE(reg.parse_knob(spec, "--window", [] { return "2147483647"; }));
+  EXPECT_EQ(spec.codar.front_window, std::numeric_limits<int>::max());
 }
 
 TEST(PassRegistry, RouterKnobHooksParseFidWeights) {

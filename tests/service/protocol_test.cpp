@@ -3,6 +3,8 @@
 
 #include "codar/service/protocol.hpp"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "codar/common/json.hpp"
@@ -170,6 +172,25 @@ TEST(ParseRequest, MappingKnobOptionsParseAndValidate) {
                  ProtocolError)
         << options;
   }
+}
+
+TEST(ParseRequest, WindowOutsideIntIsRejected) {
+  // 4294967297 used to wrap to window 1, and a later `"window": 1`
+  // request was then answered from its cache entry.
+  for (const char* options :
+       {R"({"window": 4294967297})", R"({"window": 2147483648})",
+        R"({"window": -2147483649})", R"({"window": 1.5})"}) {
+    EXPECT_THROW(parse_request(std::string(R"({"suite_name": "ghz_3", )") +
+                                   R"("options": )" + options + "}",
+                               defaults()),
+                 ProtocolError)
+        << options;
+  }
+  EXPECT_EQ(parse_request(R"({"suite_name": "ghz_3",
+                              "options": {"window": -2147483648}})",
+                          defaults())
+                .opts.codar.front_window,
+            std::numeric_limits<int>::min());
 }
 
 TEST(ParseRequest, FullRouteRequest) {
