@@ -1,7 +1,6 @@
 #include "codar/arch/device_json.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <initializer_list>
@@ -272,15 +271,6 @@ CalibrationTable parse_calibration(const Json& obj, const Device& device) {
   return table;
 }
 
-/// Shortest round-trip rendering for a double (to_chars without a
-/// precision yields the minimal digits that parse back to the same value).
-std::string render_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) bad("unrepresentable number");  // cannot happen
-  return std::string(buf, ptr);
-}
-
 }  // namespace
 
 Device device_from_json(const Json& doc) {
@@ -462,7 +452,7 @@ std::string device_to_json(const Device& device) {
     const auto kind = static_cast<ir::GateKind>(i);
     if (i > 0) out << ", ";
     out << common::json_quote(ir::gate_info(kind).name) << ": "
-        << render_double(device.fidelities.of(kind));
+        << common::json_number(device.fidelities.of(kind));
   }
   out << "}}";
 
@@ -508,10 +498,10 @@ std::string device_to_json(const Device& device) {
           out << ", \"duration_readout\": " << *d;
         }
         if (const auto f = cal.fidelity_1q(q)) {
-          out << ", \"fidelity_1q\": " << render_double(*f);
+          out << ", \"fidelity_1q\": " << common::json_number(*f);
         }
         if (const auto f = cal.fidelity_readout(q)) {
-          out << ", \"fidelity_readout\": " << render_double(*f);
+          out << ", \"fidelity_readout\": " << common::json_number(*f);
         }
         out << "}";
       }
@@ -529,7 +519,7 @@ std::string device_to_json(const Device& device) {
           out << ", \"duration_2q\": " << *d;
         }
         if (const auto f = cal.fidelity_2q(a, b)) {
-          out << ", \"fidelity_2q\": " << render_double(*f);
+          out << ", \"fidelity_2q\": " << common::json_number(*f);
         }
         out << "}";
       }
@@ -543,12 +533,12 @@ std::string device_to_json(const Device& device) {
     out << ",\n  \"coherence\": {";
     bool first = true;
     if (std::isfinite(device.coherence.t1)) {
-      out << "\"t1\": " << render_double(device.coherence.t1);
+      out << "\"t1\": " << common::json_number(device.coherence.t1);
       first = false;
     }
     if (std::isfinite(device.coherence.t2)) {
       if (!first) out << ", ";
-      out << "\"t2\": " << render_double(device.coherence.t2);
+      out << "\"t2\": " << common::json_number(device.coherence.t2);
     }
     out << "}";
   }

@@ -7,21 +7,26 @@
 #include <fstream>
 #include <optional>
 #include <ostream>
+#include <sstream>
+#include <stdexcept>
 #include <thread>
 
+#include "codar/cli/options.hpp"
+#include "codar/common/json.hpp"
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/registry.hpp"
 #include "codar/qasm/parser.hpp"
+#include "codar/service/server.hpp"
 
 namespace codar::cli {
 
 std::vector<pipeline::RouteReport> run_batch(
     const std::vector<workloads::BenchmarkSpec>& jobs,
-    const arch::Device& device, const Options& opts) {
+    const arch::Device& device, const pipeline::RoutingSpec& spec) {
   std::vector<pipeline::RouteReport> results(jobs.size());
   if (jobs.empty()) return results;
-  int threads = opts.threads > 0
-                    ? opts.threads
+  int threads = spec.threads > 0
+                    ? spec.threads
                     : static_cast<int>(std::thread::hardware_concurrency());
   threads = std::clamp<int>(threads, 1, static_cast<int>(jobs.size()));
 
@@ -41,8 +46,8 @@ std::vector<pipeline::RouteReport> run_batch(
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= jobs.size()) return;
-      results[i] =
-          route_circuit(jobs[i].circuit, device, opts, /*keep_qasm=*/false);
+      results[i] = pipeline::route_circuit(jobs[i].circuit, device, spec,
+                                           /*keep_qasm=*/false);
       results[i].name = jobs[i].name;
     }
   };
@@ -56,18 +61,51 @@ std::vector<pipeline::RouteReport> run_batch(
 
 namespace {
 
-/// Writes `text` to `path`, or to `fallback` when path is empty.
+/// Writes `text` to `path`, or to `fallback` (named `fallback_name` in
+/// the error) when path is empty. Flushes, so a full disk or a closed
+/// pipe throws here instead of losing the output silently.
 void write_text(const std::string& path, const std::string& text,
-                std::ostream& fallback) {
-  if (path.empty()) {
-    fallback << text;
-    if (!text.empty() && text.back() != '\n') fallback << '\n';
-    return;
+                std::ostream& fallback, const char* fallback_name) {
+  std::ofstream file;
+  if (!path.empty()) file.open(path);
+  std::ostream& out = path.empty() ? fallback : file;
+  out << text;
+  if (!text.empty() && text.back() != '\n') out << '\n';
+  out.flush();
+  if (!out) {
+    throw std::runtime_error("cannot write " +
+                             (path.empty() ? fallback_name : path));
   }
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("cannot write " + path);
-  file << text;
-  if (!text.empty() && text.back() != '\n') file << '\n';
+}
+
+/// The batch stats document: every report's JSON object plus a summary.
+std::string batch_json(const std::vector<pipeline::RouteReport>& reports,
+                       const Options& opts) {
+  std::size_t failed = 0;
+  std::size_t swaps = 0;
+  std::size_t route_us = 0;
+  long long depth_in = 0;
+  long long depth_out = 0;
+  double log_esp = 0.0;  ///< Σ log ESP = log of the suite-wide product.
+  std::ostringstream out;
+  out << "{\"results\": [";
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    if (i > 0) out << ",";
+    out << "\n  " << pipeline::to_json(reports[i], opts);
+    if (!reports[i].ok()) ++failed;
+    swaps += reports[i].swaps;
+    route_us += reports[i].route_us;
+    depth_in += reports[i].depth_in;
+    depth_out += reports[i].depth_out;
+    log_esp += reports[i].log_esp;
+  }
+  out << "\n], \"summary\": {\"total\": " << reports.size()
+      << ", \"failed\": " << failed << ", \"swaps\": " << swaps;
+  if (opts.timing) out << ", \"route_us\": " << route_us;
+  out << ", \"weighted_depth_in\": " << depth_in
+      << ", \"weighted_depth_out\": " << depth_out
+      << ", \"log_esp\": " << common::json_number(log_esp) << "}}";
+  return out.str();
 }
 
 int run_single(const Options& opts, const arch::Device& device,
@@ -78,17 +116,18 @@ int run_single(const Options& opts, const arch::Device& device,
     // scripts can rely on the stats output existing, and exit 1 means
     // "this circuit failed" while 2 stays "bad invocation").
     const ir::Circuit circuit = qasm::parse_file(opts.inputs.front());
-    report = route_circuit(circuit, device, opts, /*keep_qasm=*/true);
+    report = pipeline::route_circuit(circuit, device, opts,
+                                     /*keep_qasm=*/true);
   } catch (const std::exception& e) {
     report.error = e.what();
   }
   if (report.name.empty()) report.name = opts.inputs.front();
   if (report.error.empty()) {
-    write_text(opts.output_path, report.routed_qasm, out);
+    write_text(opts.output_path, report.routed_qasm, out, "stdout");
   } else {
     err << "error: " << report.name << ": " << report.error << "\n";
   }
-  write_text(opts.stats_path, to_json(report, opts), err);
+  write_text(opts.stats_path, pipeline::to_json(report, opts), err, "stderr");
   return report.ok() ? 0 : 1;
 }
 
@@ -149,7 +188,7 @@ int run_many(const Options& opts, const arch::Device& device,
     }
   }
 
-  write_text(opts.stats_path, to_json(reports, opts), out);
+  write_text(opts.stats_path, batch_json(reports, opts), out, "stdout");
   const std::size_t failed = static_cast<std::size_t>(
       std::count_if(reports.begin(), reports.end(),
                     [](const pipeline::RouteReport& r) { return !r.ok(); }));
@@ -161,19 +200,27 @@ int run_many(const Options& opts, const arch::Device& device,
 
 }  // namespace
 
-int run_cli(const std::vector<std::string>& args, std::ostream& out,
-            std::ostream& err) {
+int run_cli(const std::vector<std::string>& args, std::istream& in,
+            std::ostream& out, std::ostream& err) {
+  const bool serve = !args.empty() && args.front() == "serve";
+  const std::string help_text = serve ? serve_usage() : usage();
   Options opts;
+  service::ServeOptions serve_opts;
   try {
-    opts = parse_args(args);
+    if (serve) {
+      serve_opts = parse_serve_args({args.begin() + 1, args.end()});
+    } else {
+      opts = parse_args(args);
+    }
   } catch (const pipeline::UsageError& e) {
-    err << "error: " << e.what() << "\n\n" << usage();
+    err << "error: " << e.what() << "\n\n" << help_text;
     return 2;
   }
-  if (opts.help) {
-    out << usage();
+  if (opts.help || serve_opts.help) {
+    out << help_text;
     return 0;
   }
+  if (serve) return service::run_serve(serve_opts, in, out, err);
   if (opts.list_devices) {
     for (const pipeline::DeviceEntry& entry :
          pipeline::DeviceRegistry::instance().entries()) {
@@ -191,9 +238,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
       char fp[32];
       std::snprintf(fp, sizeof(fp), "0x%016llx",
                     static_cast<unsigned long long>(device.fingerprint()));
-      out << "{\"name\": ";
-      append_json_string(out, device.name);
-      out << ", \"qubits\": " << device.graph.num_qubits()
+      out << "{\"name\": " << common::json_quote(device.name)
+          << ", \"qubits\": " << device.graph.num_qubits()
           << ", \"edges\": " << device.graph.num_edges()
           << ", \"coordinates\": "
           << (device.graph.has_coordinates() ? "true" : "false")

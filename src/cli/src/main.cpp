@@ -1,18 +1,13 @@
-// Entry point of the `codar` binary; all behavior lives in codar::cli and
-// codar::service so the integration tests can drive it in-process.
+// Entry point of the `codar` binary; all behavior lives in codar::cli so
+// the integration tests can drive it in-process.
 
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "codar/cli/driver.hpp"
-#include "codar/service/server.hpp"
 
 int main(int argc, char** argv) {
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  if (!args.empty() && args.front() == "serve") {
-    return codar::service::run_serve_cli({args.begin() + 1, args.end()},
-                                         std::cin, std::cout, std::cerr);
-  }
-  return codar::cli::run_cli(args, std::cout, std::cerr);
+  return codar::cli::run_cli({argv + 1, argv + argc}, std::cin, std::cout,
+                             std::cerr);
 }

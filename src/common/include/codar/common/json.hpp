@@ -67,4 +67,10 @@ class Json {
 /// Renders `s` as a JSON string literal (quotes + escapes).
 std::string json_quote(std::string_view s);
 
+/// Renders `v` in its shortest round-trip form (to_chars without a
+/// precision: the fewest digits that parse back to the same double), so a
+/// rendered value is deterministic for a fixed platform and lossless to
+/// reparse.
+std::string json_number(double v);
+
 }  // namespace codar::common

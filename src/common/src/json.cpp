@@ -306,10 +306,16 @@ const Json* Json::find(std::string_view key) const {
   return nullptr;
 }
 
+std::string json_number(double v) {
+  char buf[64];  // the longest shortest form of a double is 24 characters
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
 std::string json_quote(std::string_view s) {
-  // One escaper for the whole binary: the CLI report writer delegates
-  // here, so response envelopes and the embedded "result" objects can
-  // never diverge on how the same byte renders.
+  // One escaper for the whole binary: the report renderer
+  // (pipeline::to_json) uses it too, so response envelopes and the
+  // embedded "result" objects can never diverge on how the same byte
+  // renders.
   std::string out;
   out.reserve(s.size() + 2);
   out.push_back('"');

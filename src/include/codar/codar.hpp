@@ -92,10 +92,9 @@
 #include "codar/store/log_store.hpp"
 #include "codar/store/report_codec.hpp"
 
-// Application layers: the CLI driver library and the serve service.
-#include "codar/cli/driver.hpp"
-#include "codar/cli/options.hpp"
-#include "codar/cli/report.hpp"
+// Application layers: the serve service and the CLI front end over it.
 #include "codar/service/protocol.hpp"
 #include "codar/service/route_cache.hpp"
 #include "codar/service/server.hpp"
+#include "codar/cli/driver.hpp"
+#include "codar/cli/options.hpp"

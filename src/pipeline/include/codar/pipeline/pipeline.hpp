@@ -4,9 +4,10 @@
 // lower Toffolis → optional peephole → initial mapping → route → report →
 // verify → render, with per-stage wall-time instrumentation. One circuit
 // in, one RouteReport out; the batch driver, the single-file CLI path and
-// the `codar serve` service all run exactly this sequence, which is what
-// keeps their outputs byte-identical (the serve differential test locks
-// the JSON rendering of these reports against batch output).
+// the `codar serve` service all run exactly this sequence through
+// route_circuit, and render its report with to_json, which is what keeps
+// their outputs byte-identical (the serve differential test locks serve
+// responses against batch output).
 
 #include <memory>
 #include <string>
@@ -66,6 +67,12 @@ struct RouteReport {
   bool ok() const { return error.empty() && (verified || verify_skipped); }
 };
 
+/// The report's JSON stats object: stable key order, integer counters,
+/// shortest round-trip doubles. `spec` supplies the device, router and
+/// mapping names; the nondeterministic route_us/stage_us fields appear
+/// only under spec.timing.
+std::string to_json(const RouteReport& report, const RoutingSpec& spec);
+
 /// A resolved compilation pipeline: the router and initial-mapping passes
 /// named by the spec, looked up in the registries and constructed for one
 /// device. Construction validates the names (UsageError lists the
@@ -93,5 +100,12 @@ class Pipeline {
   std::unique_ptr<RoutingPass> router_;
   std::unique_ptr<MappingPass> mapping_;
 };
+
+/// Routes one circuit through a freshly resolved Pipeline. Never throws:
+/// an unknown router or mapping name lands in `error` like any routing
+/// failure.
+RouteReport route_circuit(const ir::Circuit& circuit,
+                          const arch::Device& device, const RoutingSpec& spec,
+                          bool keep_qasm);
 
 }  // namespace codar::pipeline

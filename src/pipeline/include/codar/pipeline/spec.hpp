@@ -2,10 +2,11 @@
 
 // The device-independent description of one compilation: which routing
 // pass and initial-mapping strategy to run (by registry name — see
-// registry.hpp) plus every knob that can change a routed result. This is
-// the library-level core of the CLI's Options struct; `codar` and
-// `codar serve` both overlay their I/O and presentation fields on top of
-// it (cli::Options derives from RoutingSpec).
+// registry.hpp) plus every knob that can change a routed result, and the
+// three presentation fields both front ends share (device spec, worker
+// threads, timing). `codar serve` takes its per-request defaults as a
+// RoutingSpec; the CLI's Options derives from it and adds its mode and
+// I/O fields.
 
 #include <cstdint>
 #include <stdexcept>
@@ -60,6 +61,12 @@ struct RoutingSpec {
   /// third-party knob is cache-correct without touching either front end.
   /// Kept sorted by key (set_extra) so the fingerprint is canonical.
   std::vector<std::pair<std::string, std::string>> extras;
+
+  // Presentation fields: they never change a routed result, so the route
+  // cache's options fingerprint leaves them out.
+  std::string device = "tokyo";  ///< DeviceRegistry spec (display name).
+  int threads = 0;               ///< Worker threads; 0 = hardware count.
+  bool timing = false;           ///< Stage wall times in the JSON report.
 
   /// Inserts or replaces `key`, keeping `extras` sorted.
   void set_extra(const std::string& key, std::string value) {

@@ -1,10 +1,13 @@
 #include "codar/pipeline/pipeline.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "codar/common/json.hpp"
 #include "codar/core/verify.hpp"
 #include "codar/cost/fidelity_model.hpp"
 #include "codar/ir/decompose.hpp"
@@ -47,6 +50,55 @@ void timed_stage(RouteReport& report, const char* stage, Fn&& fn) {
 }
 
 }  // namespace
+
+std::string to_json(const RouteReport& r, const RoutingSpec& spec) {
+  std::ostringstream out;
+  out << "{\"name\": " << common::json_quote(r.name)
+      << ", \"device\": " << common::json_quote(spec.device)
+      << ", \"router\": " << common::json_quote(spec.router)
+      << ", \"initial\": " << common::json_quote(spec.mapping);
+  if (!r.error.empty()) out << ", \"error\": " << common::json_quote(r.error);
+  out << ", \"qubits\": " << r.qubits << ", \"gates_in\": " << r.gates_in
+      << ", \"gates_out\": " << r.gates_out
+      << ", \"gates_routed\": " << r.gates_routed
+      << ", \"barriers\": " << r.barriers << ", \"swaps\": " << r.swaps
+      << ", \"forced_swaps\": " << r.forced_swaps
+      << ", \"escape_swaps\": " << r.escape_swaps
+      << ", \"cycles\": " << r.cycles << ", \"makespan\": " << r.makespan;
+  // Wall times are the one nondeterministic stat: opt-in so default output
+  // stays bit-identical across runs and thread counts.
+  if (spec.timing) {
+    out << ", \"route_us\": " << r.route_us << ", \"stage_us\": {";
+    for (std::size_t i = 0; i < r.stage_us.size(); ++i) {
+      if (i > 0) out << ", ";
+      out << common::json_quote(r.stage_us[i].stage) << ": "
+          << r.stage_us[i].us;
+    }
+    out << "}";
+  }
+  out << ", \"weighted_depth_in\": " << r.depth_in
+      << ", \"weighted_depth_out\": " << r.depth_out
+      << ", \"est_success_probability\": "
+      << common::json_number(std::exp(r.log_esp))
+      << ", \"log_esp\": " << common::json_number(r.log_esp)
+      << ", \"verified\": " << (r.verified ? "true" : "false") << "}";
+  return out.str();
+}
+
+RouteReport route_circuit(const ir::Circuit& circuit,
+                          const arch::Device& device, const RoutingSpec& spec,
+                          bool keep_qasm) {
+  try {
+    return Pipeline(device, spec).run(circuit, keep_qasm);
+  } catch (const std::exception& e) {
+    // Pipeline construction failed (unknown router/mapping name): report
+    // it the same way a routing failure is reported.
+    RouteReport report;
+    report.name = circuit.name();
+    report.error = e.what();
+    return report;
+  }
+}
 
 Pipeline::Pipeline(const arch::Device& device, const RoutingSpec& spec)
     : device_(&device),

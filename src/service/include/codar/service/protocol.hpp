@@ -27,7 +27,7 @@
 #include <string>
 
 #include "codar/arch/device.hpp"
-#include "codar/cli/options.hpp"
+#include "codar/pipeline/spec.hpp"
 
 namespace codar::service {
 
@@ -49,7 +49,7 @@ struct ServeRequest {
   std::string qasm;        ///< Inline OpenQASM source, or ...
   std::string suite_name;  ///< ... a built-in suite benchmark name.
   std::string name;        ///< Optional display name for the report.
-  cli::Options opts;       ///< defaults overlaid with per-request fields.
+  pipeline::RoutingSpec opts;  ///< defaults overlaid with request fields.
   /// Set when the request carried an inline `device` object instead of a
   /// spec string; `opts.device` then holds its display name only.
   std::shared_ptr<const arch::Device> inline_device;
@@ -59,14 +59,15 @@ struct ServeRequest {
 /// Throws ProtocolError (malformed JSON, unknown keys/kinds, missing or
 /// conflicting circuit source).
 ServeRequest parse_request(const std::string& line,
-                           const cli::Options& defaults);
+                           const pipeline::RoutingSpec& defaults);
 
-/// Fingerprint over every Options field that can change a routed result or
-/// its cached report: router, initial mapping, seed, mapping rounds,
-/// peephole, verify, the CODAR ablation knobs, and the free-form extras
-/// for externally registered passes. Deliberately excludes
-/// presentation-only fields (device spec string, timing, threads, paths) —
-/// the device is fingerprinted separately from its content.
-std::uint64_t options_fingerprint(const cli::Options& opts);
+/// Fingerprint over every RoutingSpec field that can change a routed
+/// result or its cached report: router, initial mapping, seed, mapping
+/// rounds and horizon, peephole, verify, the CODAR ablation knobs, the
+/// codar-fid weights, and the free-form extras for externally registered
+/// passes. Deliberately excludes the presentation fields (device spec
+/// string, threads, timing) — the device is fingerprinted separately from
+/// its content.
+std::uint64_t options_fingerprint(const pipeline::RoutingSpec& opts);
 
 }  // namespace codar::service

@@ -30,16 +30,15 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "codar/cli/options.hpp"
+#include "codar/pipeline/spec.hpp"
 
 namespace codar::service {
 
 struct ServeOptions {
   /// Per-request defaults: device, router, initial mapping, CODAR knobs.
   /// `threads` sizes the worker pool (0 = hardware concurrency).
-  cli::Options defaults;
+  pipeline::RoutingSpec defaults;
   std::size_t cache_bytes = 256u << 20;  ///< Route-cache budget; 0 = off.
   int cache_shards = 8;
   /// Persistent route-cache directory (store::LogStore). Empty = memory
@@ -67,18 +66,8 @@ struct ServeOptions {
   /// structured error and a close (the framing can no longer be trusted
   /// cheaply). Large enough for multi-MiB inline QASM by default.
   std::size_t max_line_bytes = 8u << 20;
-  bool help = false;
+  bool help = false;  ///< `codar serve --help`: print usage, serve nothing.
 };
-
-/// Parses `codar serve` arguments (everything after the subcommand word).
-/// Accepts every routing flag of the batch CLI as a request default, plus
-/// --cache-bytes / --cache-shards / --cache-dir / --cache-disk-bytes /
-/// --warm-start / --listen / --max-inflight / --idle-timeout-ms /
-/// --max-line-bytes. Throws pipeline::UsageError.
-ServeOptions parse_serve_args(const std::vector<std::string>& args);
-
-/// The `codar serve --help` text.
-std::string serve_usage();
 
 /// A socket-mode server running on background threads. Destroying the
 /// handle shuts the server down (drain semantics) and joins it.
@@ -111,9 +100,5 @@ std::unique_ptr<ServerHandle> start_serve(const ServeOptions& opts);
 /// notes to `err`. Returns the process exit code.
 int run_serve(const ServeOptions& opts, std::istream& in, std::ostream& out,
               std::ostream& err);
-
-/// CLI wrapper: parse args, then run_serve. Returns the process exit code.
-int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
-                  std::ostream& out, std::ostream& err);
 
 }  // namespace codar::service

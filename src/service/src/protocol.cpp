@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -72,8 +73,8 @@ const std::string& registered_name(const Registry& registry,
 }
 
 /// Applies one member of the request's "options" object. Mirrors the CLI
-/// flags one-to-one (see parse_routing_flag); key names use underscores.
-void apply_option(cli::Options& opts, const std::string& key,
+/// flags one-to-one; key names use underscores.
+void apply_option(pipeline::RoutingSpec& opts, const std::string& key,
                   const common::Json& v) {
   if (key == "initial") {
     opts.mapping = registered_name(pipeline::MappingRegistry::instance(),
@@ -119,11 +120,14 @@ void apply_option(cli::Options& opts, const std::string& key,
     // only, so the fingerprinted representation is unambiguous. The
     // request's object *replaces* the serve-line defaults wholesale —
     // per-key merging would leave no way to unset a default knob.
+    // Sorted through a map, not by set_extra per key (quadratic in the
+    // key count); as with set_extra, a repeated key keeps its last value.
     if (!v.is_object()) bad("'extras' must be an object");
-    opts.extras.clear();
+    std::map<std::string, std::string> extras;
     for (const auto& [k, member] : v.members()) {
-      opts.set_extra(k, require_string(member, "extras value"));
+      extras[k] = require_string(member, "extras value");
     }
+    opts.extras.assign(extras.begin(), extras.end());
   } else {
     bad("unknown option '" + key + "'");
   }
@@ -132,7 +136,7 @@ void apply_option(cli::Options& opts, const std::string& key,
 }  // namespace
 
 ServeRequest parse_request(const std::string& line,
-                           const cli::Options& defaults) {
+                           const pipeline::RoutingSpec& defaults) {
   common::Json doc = [&] {
     try {
       return common::Json::parse(line);
@@ -240,7 +244,7 @@ ServeRequest parse_request(const std::string& line,
   return req;
 }
 
-std::uint64_t options_fingerprint(const cli::Options& opts) {
+std::uint64_t options_fingerprint(const pipeline::RoutingSpec& opts) {
   common::Fnv1a h;
   h.u64(4);  // fingerprint schema version (4: + SABRE layout horizon)
   h.str(opts.router);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <condition_variable>
 #include <csignal>
 #include <deque>
@@ -15,14 +14,15 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include <unistd.h>
 
-#include "codar/cli/report.hpp"
 #include "codar/common/json.hpp"
 #include "codar/common/thread_annotations.hpp"
 #include "codar/ir/circuit.hpp"
 #include "codar/pipeline/device_registry.hpp"
+#include "codar/pipeline/pipeline.hpp"
 #include "codar/qasm/parser.hpp"
 #include "codar/service/protocol.hpp"
 #include "codar/service/route_cache.hpp"
@@ -34,17 +34,6 @@
 namespace codar::service {
 
 namespace {
-
-std::size_t parse_size(const std::string& flag, const std::string& value) {
-  std::size_t result = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), result);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    throw pipeline::UsageError(flag + " expects a non-negative integer, got '" +
-                               value + "'");
-  }
-  return result;
-}
 
 /// Reader-side poll slice: the longest a reader blocks in one read call
 /// before re-checking the shutdown flag and its idle budget.
@@ -463,8 +452,8 @@ class Server {
       report = cache_.get_or_route(
           key,
           [&] {
-            return cli::route_circuit(*circuit, *device.device, req.opts,
-                                      /*keep_qasm=*/false);
+            return pipeline::route_circuit(*circuit, *device.device, req.opts,
+                                           /*keep_qasm=*/false);
           },
           &cached);
       if (!cached) ++routed_;
@@ -477,7 +466,7 @@ class Server {
     }
     return "{\"id\": " + req.id_json +
            ", \"cached\": " + (cached ? "true" : "false") +
-           ", \"result\": " + cli::to_json(report, req.opts) + "}";
+           ", \"result\": " + pipeline::to_json(report, req.opts) + "}";
   }
 
   std::string stats_response(const ServeRequest& req) const {
@@ -774,142 +763,6 @@ int run_serve_socket(const ServeOptions& opts, std::ostream& err) {
 
 }  // namespace
 
-ServeOptions parse_serve_args(const std::vector<std::string>& args) {
-  ServeOptions opts;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= args.size()) {
-        throw pipeline::UsageError(arg + " expects a value");
-      }
-      return args[++i];
-    };
-    if (cli::parse_routing_flag(opts.defaults, arg, value)) {
-      continue;
-    } else if (arg == "--help" || arg == "-h") {
-      opts.help = true;
-    } else if (arg == "--cache-bytes") {
-      opts.cache_bytes = parse_size(arg, value());
-    } else if (arg == "--cache-shards") {
-      const std::size_t shards = parse_size(arg, value());
-      // Upper bound before the int cast: 2^32 would truncate to 0 and
-      // blow past RouteCache's num_shards >= 1 contract.
-      if (shards < 1 || shards > 4096) {
-        throw pipeline::UsageError("--cache-shards must be in [1, 4096]");
-      }
-      opts.cache_shards = static_cast<int>(shards);
-    } else if (arg == "--cache-dir") {
-      opts.cache_dir = value();
-      if (opts.cache_dir.empty()) {
-        throw pipeline::UsageError("--cache-dir expects a directory path");
-      }
-    } else if (arg == "--cache-disk-bytes") {
-      opts.cache_disk_bytes = parse_size(arg, value());
-    } else if (arg == "--warm-start") {
-      opts.warm_start = parse_size(arg, value());
-    } else if (arg == "--listen") {
-      opts.listen = value();
-      try {
-        parse_listen_spec(opts.listen);  // validate now, fail at parse time
-      } catch (const std::invalid_argument& e) {
-        throw pipeline::UsageError(e.what());
-      }
-    } else if (arg == "--max-inflight") {
-      const std::size_t n = parse_size(arg, value());
-      if (n < 1 || n > (1u << 20)) {
-        throw pipeline::UsageError("--max-inflight must be in [1, 1048576]");
-      }
-      opts.max_inflight = n;
-    } else if (arg == "--idle-timeout-ms") {
-      const std::size_t ms = parse_size(arg, value());
-      if (ms > 86400000) {
-        throw pipeline::UsageError("--idle-timeout-ms must be <= 86400000");
-      }
-      opts.idle_timeout_ms = static_cast<int>(ms);
-    } else if (arg == "--max-line-bytes") {
-      const std::size_t n = parse_size(arg, value());
-      if (n < 1024) {
-        throw pipeline::UsageError("--max-line-bytes must be >= 1024");
-      }
-      opts.max_line_bytes = n;
-    } else {
-      throw pipeline::UsageError("unknown serve flag '" + arg + "'");
-    }
-  }
-  return opts;
-}
-
-std::string serve_usage() {
-  return R"(codar serve — resident NDJSON routing service with a route cache
-
-usage:
-  codar serve [options]                    read requests from stdin until EOF
-  codar serve --listen tcp:HOST:PORT       serve TCP clients until SIGTERM
-  codar serve --listen unix:PATH           serve Unix-socket clients
-
-Requests are newline-delimited JSON objects:
-  {"id": 1, "qasm": "OPENQASM 2.0; ...", "device": "tokyo",
-   "router": "codar", "options": {"initial": "sabre", "seed": 17}}
-  {"id": 2, "suite_name": "qft_8"}       route a built-in suite benchmark
-  {"id": 3, "cmd": "stats"}              barrier + cache/request counters
-
-"device" is a registry spec string ("tokyo", "grid:4x5") or an inline
-JSON device description object (same schema as --device file:; see
-README "Device files") for calibrated devices the server has never
-seen. Inline devices are cached by content fingerprint. file:PATH specs
-are refused on request lines (untrusted clients must not read server
-paths) but remain valid serve-command-line defaults.
-
-Each response is one JSON line: {"id", "cached", "result"} where "result"
-is byte-identical to the batch driver's stats object for the same inputs.
-Identical (circuit, device, options) requests are served from a sharded
-LRU route cache; concurrent duplicates route once.
-
-Socket transports accept any number of concurrent clients, each free to
-pipeline requests; responses stream back in completion order tagged with
-the client's request ids. Per connection at most --max-inflight requests
-may be accepted but unanswered — past that the server stops reading that
-connection until responses drain (backpressure). SIGTERM/SIGINT drain:
-accepted requests finish, responses flush, then the process exits.
-
-service options:
-      --listen SPEC     transport endpoint: stdio (default),
-                        tcp:HOST:PORT (port 0 = kernel-chosen) or
-                        unix:PATH
-      --max-inflight N  per-connection pipelining cap (default 64)
-      --idle-timeout-ms N
-                        close connections quiet for N ms (default 0 =
-                        never; socket transports only)
-      --max-line-bytes N
-                        oversized-frame cap per request line (default
-                        8388608)
-      --cache-bytes N   route-cache byte budget (default 268435456; 0
-                        disables caching, including the disk tier)
-      --cache-shards N  number of independently locked shards (default 8)
-      --cache-dir PATH  persistent route-cache directory (crash-safe
-                        append-only log; created if absent). A restarted
-                        server serves its history as disk hits instead of
-                        re-routing. Default: memory-only cache.
-      --cache-disk-bytes N
-                        disk-tier live-byte budget (default 1073741824;
-                        0 = unbounded); oldest entries evicted past it
-      --warm-start N    preload the N most recent disk entries into the
-                        memory tier at boot (default 0)
-      --threads, -j N   worker threads (0 = hardware concurrency)
-      --distance-oracle MODE
-                        process-wide distance backend (auto | dense |
-                        on-demand | landmark); command-line only, never
-                        settable from request lines
-
-request defaults (overridable per request; same meaning as in batch mode):
-  -d, --device SPEC  -r, --router NAME  --initial NAME  --seed N
-      --mapping-rounds N  --mapping-horizon N  --peephole  --no-verify
-      --timing  --no-context --no-duration --no-commutativity
-      --no-fine-priority --window N --stagnation N
-      --alpha X --beta X --gamma X --set KEY=VALUE
-)";
-}
-
 std::unique_ptr<ServerHandle> start_serve(const ServeOptions& opts) {
   // Fail fast on an unknown default device instead of erroring every
   // request.
@@ -947,22 +800,6 @@ int run_serve(const ServeOptions& opts, std::istream& in, std::ostream& out,
     return 2;
   }
   return 0;
-}
-
-int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
-                  std::ostream& out, std::ostream& err) {
-  ServeOptions opts;
-  try {
-    opts = parse_serve_args(args);
-  } catch (const pipeline::UsageError& e) {
-    err << "error: " << e.what() << "\n\n" << serve_usage();
-    return 2;
-  }
-  if (opts.help) {
-    out << serve_usage();
-    return 0;
-  }
-  return run_serve(opts, in, out, err);
 }
 
 }  // namespace codar::service

@@ -104,15 +104,16 @@ TEST(CliOptions, ListRoutersAndMappingsFlags) {
   EXPECT_TRUE(parse_args({"--list-routers"}).list_routers);
   EXPECT_TRUE(parse_args({"--list-mappings"}).list_mappings);
 
+  std::istringstream in;
   std::ostringstream out;
   std::ostringstream err;
-  EXPECT_EQ(run_cli({"--list-routers"}, out, err), 0) << err.str();
+  EXPECT_EQ(run_cli({"--list-routers"}, in, out, err), 0) << err.str();
   for (const char* name : {"codar", "codar-fid", "sabre", "astar"}) {
     EXPECT_NE(out.str().find(name), std::string::npos) << out.str();
   }
 
   std::ostringstream out2;
-  EXPECT_EQ(run_cli({"--list-mappings"}, out2, err), 0) << err.str();
+  EXPECT_EQ(run_cli({"--list-mappings"}, in, out2, err), 0) << err.str();
   for (const char* name : {"identity", "greedy", "sabre"}) {
     EXPECT_NE(out2.str().find(name), std::string::npos) << out2.str();
   }
@@ -193,7 +194,7 @@ TEST(CliDeviceRegistry, FileSpecLoadsJsonDeviceDescriptions) {
 TEST(CliDriver, RoutedOutputParsesAndVerifies) {
   const arch::Device device = make_device("tokyo");
   Options opts;
-  const RouteReport report = route_circuit(
+  const RouteReport report = pipeline::route_circuit(
       workloads::cuccaro_adder(4), device, opts, /*keep_qasm=*/true);
   EXPECT_TRUE(report.error.empty()) << report.error;
   EXPECT_TRUE(report.verified);
@@ -221,7 +222,7 @@ TEST(CliDriver, AllThreeRoutersVerify) {
     Options opts;
     opts.router = router;
     const RouteReport report =
-        route_circuit(circuit, device, opts, /*keep_qasm=*/false);
+        pipeline::route_circuit(circuit, device, opts, /*keep_qasm=*/false);
     EXPECT_TRUE(report.ok()) << router << ": " << report.error;
     EXPECT_TRUE(report.verified) << router;
   }
@@ -232,16 +233,16 @@ TEST(CliDriver, TimingFieldIsOptIn) {
   const ir::Circuit circuit = workloads::qft(6);
   Options opts;
   const RouteReport report =
-      route_circuit(circuit, device, opts, /*keep_qasm=*/false);
+      pipeline::route_circuit(circuit, device, opts, /*keep_qasm=*/false);
   // Default JSON carries the deterministic stats only; --timing adds the
   // (nondeterministic) per-route wall time.
-  const std::string plain = to_json(report, opts);
+  const std::string plain = pipeline::to_json(report, opts);
   EXPECT_EQ(plain.find("route_us"), std::string::npos) << plain;
   EXPECT_NE(plain.find("\"gates_routed\": "), std::string::npos) << plain;
   EXPECT_NE(plain.find("\"barriers\": 0"), std::string::npos) << plain;
   Options timed = opts;
   timed.timing = true;
-  const std::string with_timing = to_json(report, timed);
+  const std::string with_timing = pipeline::to_json(report, timed);
   EXPECT_NE(with_timing.find("\"route_us\": "), std::string::npos)
       << with_timing;
 }
@@ -253,7 +254,7 @@ TEST(CliOptions, ParsesTimingFlag) {
 
 TEST(CliDriver, ReportsOversizedCircuitAsError) {
   Options opts;
-  const RouteReport report = route_circuit(
+  const RouteReport report = pipeline::route_circuit(
       workloads::ghz(8), make_device("yorktown"), opts, /*keep_qasm=*/false);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.error.find("qubits"), std::string::npos) << report.error;
@@ -264,10 +265,11 @@ TEST(CliDriver, RunCliEndToEnd) {
   const fs::path input = dir / "bv.qasm";
   write_qasm_file(input, workloads::bernstein_vazirani(5, 0b10110));
 
+  std::istringstream in;
   std::ostringstream out;
   std::ostringstream err;
   const int exit_code =
-      run_cli({input.string(), "--device", "tokyo"}, out, err);
+      run_cli({input.string(), "--device", "tokyo"}, in, out, err);
   EXPECT_EQ(exit_code, 0) << err.str();
 
   // stdout is the routed program, stderr the JSON stats.
@@ -283,13 +285,57 @@ TEST(CliDriver, RunCliReportsParseErrors) {
   const fs::path input = dir / "bad.qasm";
   std::ofstream(input) << "OPENQASM 2.0;\nqreg q[2];\nnot_a_gate q[0];\n";
 
+  std::istringstream in;
   std::ostringstream out;
   std::ostringstream err;
   // A load failure is a per-circuit failure (exit 1, JSON error report),
   // not a usage error (exit 2) — same contract as batch mode.
-  EXPECT_EQ(run_cli({input.string()}, out, err), 1);
+  EXPECT_EQ(run_cli({input.string()}, in, out, err), 1);
   EXPECT_NE(err.str().find("\"error\": "), std::string::npos) << err.str();
   EXPECT_NE(err.str().find("\"verified\": false"), std::string::npos);
+}
+
+TEST(CliDriver, LostOutputIsAWriteError) {
+  const fs::path dir = temp_dir("codar_cli_lost_output");
+  const fs::path input = dir / "ghz.qasm";
+  write_qasm_file(input, workloads::ghz(4));
+
+  // A stream that takes no bytes, standing in for a closed stdout.
+  std::istringstream in;
+  std::ostream lost(nullptr);
+  std::ostringstream err;
+  EXPECT_EQ(run_cli({input.string(), "--device", "tokyo"}, in, lost, err), 2);
+  EXPECT_NE(err.str().find("error: cannot write stdout"), std::string::npos)
+      << err.str();
+}
+
+TEST(CliDriver, FullDiskIsAWriteError) {
+  // /dev/full opens fine and fails every write with ENOSPC, so the loss
+  // only shows once the bytes are flushed.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const fs::path dir = temp_dir("codar_cli_full_disk");
+  const fs::path input = dir / "ghz.qasm";
+  write_qasm_file(input, workloads::ghz(4));
+
+  std::istringstream in;
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run_cli({input.string(), "--device", "tokyo", "-o", "/dev/full"},
+                    in, out, err),
+            2);
+  EXPECT_NE(err.str().find("error: cannot write /dev/full"), std::string::npos)
+      << err.str();
+
+  std::ostringstream batch_err;
+  EXPECT_EQ(run_cli({"--batch", dir.string(), "--device", "tokyo", "--stats",
+                     "/dev/full"},
+                    in, out, batch_err),
+            2);
+  EXPECT_NE(batch_err.str().find("error: cannot write /dev/full"),
+            std::string::npos)
+      << batch_err.str();
+  EXPECT_EQ(batch_err.str().find("circuits routed"), std::string::npos)
+      << batch_err.str();
 }
 
 // -- Batch mode -------------------------------------------------------------
@@ -312,11 +358,16 @@ TEST(CliBatch, StatsAreByteIdenticalAcrossThreadCounts) {
   Options eight;
   eight.threads = 8;
 
-  const std::string json_one = to_json(run_batch(batch_jobs(), device, one), one);
-  const std::string json_eight =
-      to_json(run_batch(batch_jobs(), device, eight), eight);
-  EXPECT_EQ(json_one, json_eight);
-  EXPECT_NE(json_one.find("\"failed\": 0"), std::string::npos) << json_one;
+  const std::vector<RouteReport> reports_one =
+      run_batch(batch_jobs(), device, one);
+  const std::vector<RouteReport> reports_eight =
+      run_batch(batch_jobs(), device, eight);
+  ASSERT_EQ(reports_one.size(), reports_eight.size());
+  for (std::size_t i = 0; i < reports_one.size(); ++i) {
+    EXPECT_EQ(pipeline::to_json(reports_one[i], one),
+              pipeline::to_json(reports_eight[i], eight));
+    EXPECT_TRUE(reports_one[i].ok()) << reports_one[i].error;
+  }
 }
 
 TEST(CliBatch, RunCliBatchDirectoryAcrossThreads) {
@@ -326,12 +377,13 @@ TEST(CliBatch, RunCliBatchDirectoryAcrossThreads) {
   write_qasm_file(dir / "c_adder.qasm", workloads::cuccaro_adder(3));
 
   auto run_with_threads = [&](const std::string& threads) {
+    std::istringstream in;
     std::ostringstream out;
     std::ostringstream err;
     const int exit_code =
         run_cli({"--batch", dir.string(), "--device", "q16", "--threads",
                  threads},
-                out, err);
+                in, out, err);
     EXPECT_EQ(exit_code, 0) << err.str();
     return out.str();
   };
@@ -349,10 +401,11 @@ TEST(CliBatch, LoadFailuresKeepTheirSlotAndFailTheRun) {
   std::ofstream(dir / "b_bad.qasm") << "OPENQASM 2.0;\nqreg q[1;\n";
   write_qasm_file(dir / "c_ok.qasm", workloads::qft(4));
 
+  std::istringstream in;
   std::ostringstream out;
   std::ostringstream err;
   const int exit_code = run_cli({"--batch", dir.string(), "--device", "q16"},
-                                out, err);
+                                in, out, err);
   EXPECT_EQ(exit_code, 1);
   EXPECT_NE(out.str().find("\"failed\": 1"), std::string::npos) << out.str();
   EXPECT_LT(out.str().find("a_ok"), out.str().find("b_bad"));

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "codar/arch/device.hpp"
-#include "codar/cli/report.hpp"
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/pipeline.hpp"
 #include "codar/workloads/suite.hpp"
@@ -98,12 +97,12 @@ TEST(Pipeline, UnknownPassNamesFailConstruction) {
   bad_mapping.mapping = "annealed";
   EXPECT_THROW(Pipeline(device, bad_mapping), UsageError);
 
-  // The CLI wrapper degrades the same failure to an error report instead
+  // route_circuit degrades the same failure to an error report instead
   // of throwing, matching every other per-circuit failure.
-  cli::Options opts;
+  RoutingSpec opts;
   opts.router = "qiskit";
   const RouteReport report =
-      cli::route_circuit(fig2_program(), device, opts, /*keep_qasm=*/false);
+      route_circuit(fig2_program(), device, opts, /*keep_qasm=*/false);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.error.find("unknown router"), std::string::npos)
       << report.error;
@@ -121,21 +120,21 @@ TEST(Pipeline, OversizedCircuitFailsInTheLowerStage) {
 
 TEST(Pipeline, StageTimingsAreExcludedFromJsonUnlessTimingIsSet) {
   const arch::Device device = arch::ibm_q20_tokyo();
-  cli::Options opts;
+  RoutingSpec opts;
   const RouteReport report =
-      cli::route_circuit(fig2_program(), device, opts, /*keep_qasm=*/false);
+      route_circuit(fig2_program(), device, opts, /*keep_qasm=*/false);
   ASSERT_TRUE(report.ok()) << report.error;
   ASSERT_FALSE(report.stage_us.empty());  // instrumentation always runs
 
   // Default rendering: no wall-time keys at all, so batch stats stay
   // bit-identical across runs and thread counts.
-  const std::string plain = cli::to_json(report, opts);
+  const std::string plain = to_json(report, opts);
   EXPECT_EQ(plain.find("route_us"), std::string::npos) << plain;
   EXPECT_EQ(plain.find("stage_us"), std::string::npos) << plain;
 
-  cli::Options timed = opts;
+  RoutingSpec timed = opts;
   timed.timing = true;
-  const std::string with_timing = cli::to_json(report, timed);
+  const std::string with_timing = to_json(report, timed);
   EXPECT_NE(with_timing.find("\"route_us\": "), std::string::npos)
       << with_timing;
   EXPECT_NE(with_timing.find("\"stage_us\": {\"lower\": "),

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "codar/qasm/lexer.hpp"
+#include "support/time_budget.hpp"
 
 namespace codar::qasm {
 namespace {
@@ -396,24 +397,8 @@ std::string doubling_chain(const std::string& base, int levels) {
   return program + "g" + std::to_string(levels) + " q[0];\n";
 }
 
-// The budget error must come within a second in an optimized build.
-// Debug and sanitizer builds run the same bounded work several times
-// slower, so there the bound only has to tell bounded work from a hang.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CODAR_SANITIZED_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define CODAR_SANITIZED_BUILD 1
-#endif
-#endif
-#if defined(CODAR_SANITIZED_BUILD) || !defined(NDEBUG)
-constexpr double kBudgetErrorSeconds = 10.0;
-#else
-constexpr double kBudgetErrorSeconds = 1.0;
-#endif
-
 /// Expects the expansion-budget error, reported at `line` (the header is
-/// lines 1-2), within kBudgetErrorSeconds.
+/// lines 1-2), within testing::kBoundedWorkSeconds.
 void expect_budget_error(const std::string& body, int line) {
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -428,7 +413,7 @@ void expect_budget_error(const std::string& body, int line) {
   }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
-  EXPECT_LT(elapsed.count(), kBudgetErrorSeconds);
+  EXPECT_LT(elapsed.count(), testing::kBoundedWorkSeconds);
 }
 
 TEST(Parser, HostileDoublingGateChainHitsTheExpansionBudget) {

@@ -1,13 +1,19 @@
 // Tests for the serve protocol layer: the dependency-free JSON parser and
-// the request-line → Options mapping.
+// the request-line → RoutingSpec mapping.
 
 #include "codar/service/protocol.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "codar/common/json.hpp"
+#include "support/time_budget.hpp"
 
 namespace codar::service {
 namespace {
@@ -81,8 +87,8 @@ TEST(Json, QuoteEscapesControlCharacters) {
 
 // -- parse_request ----------------------------------------------------------
 
-cli::Options defaults() {
-  cli::Options opts;
+pipeline::RoutingSpec defaults() {
+  pipeline::RoutingSpec opts;
   opts.device = "tokyo";
   return opts;
 }
@@ -108,7 +114,7 @@ TEST(ParseRequest, ExtrasOptionFillsSpecExtras) {
   EXPECT_EQ(*req.opts.extra("alpha"), "0.5");
   // A request's extras object replaces the serve-line defaults wholesale,
   // so a client can unset a default knob by omitting it.
-  cli::Options seeded = defaults();
+  pipeline::RoutingSpec seeded = defaults();
   seeded.set_extra("beam", "8");
   const ServeRequest cleared = parse_request(
       R"({"suite_name": "ghz_3", "options": {"extras": {}}})", seeded);
@@ -125,6 +131,36 @@ TEST(ParseRequest, ExtrasOptionFillsSpecExtras) {
                                  "options": {"extras": "beam=8"}})",
                              defaults()),
                ProtocolError);
+}
+
+TEST(ParseRequest, RepeatedExtrasKeyKeepsItsLastValue) {
+  const ServeRequest req = parse_request(
+      R"({"suite_name": "ghz_3", "options": {"extras":
+          {"beam": "8", "alpha": "0.5", "beam": "16", "zeta": "1"}}})",
+      defaults());
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"alpha", "0.5"}, {"beam", "16"}, {"zeta", "1"}};
+  EXPECT_EQ(req.opts.extras, expected);
+}
+
+TEST(ParseRequest, ManyExtrasKeysParseInBoundedTime) {
+  // The reader thread parses every request line; 200k keys (a 4 MB
+  // line, under the default 8 MiB cap) must not cost quadratic time.
+  constexpr int kKeys = 200000;
+  std::string line = R"({"suite_name": "ghz_3", "options": {"extras": {)";
+  for (int i = kKeys - 1; i >= 0; --i) {
+    line += "\"k" + std::to_string(i) + "\": \"" + std::to_string(i) + "\"";
+    line += i > 0 ? ", " : "}}}";
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const ServeRequest req = parse_request(line, defaults());
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), testing::kBoundedWorkSeconds);
+  ASSERT_EQ(req.opts.extras.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_TRUE(std::is_sorted(req.opts.extras.begin(), req.opts.extras.end()));
+  ASSERT_NE(req.opts.extra("k4711"), nullptr);
+  EXPECT_EQ(*req.opts.extra("k4711"), "4711");
 }
 
 TEST(ParseRequest, FidWeightOptionsParseAndValidate) {
@@ -279,7 +315,7 @@ TEST(ParseRequest, StatsCommand) {
 }
 
 TEST(ParseRequest, RejectsBadRequests) {
-  const cli::Options d = defaults();
+  const pipeline::RoutingSpec d = defaults();
   EXPECT_THROW(parse_request("not json", d), ProtocolError);
   EXPECT_THROW(parse_request("[1,2]", d), ProtocolError);
   // Needs exactly one circuit source.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "codar/arch/device.hpp"
+#include "codar/cli/options.hpp"
 #include "codar/service/protocol.hpp"
 #include "codar/store/report_codec.hpp"
 
@@ -90,18 +91,18 @@ TEST(RouteCache, DistinctKeyComponentsNeverCollide) {
 TEST(RouteCache, RealFingerprintsGiveDistinctKeys) {
   // Sanity over the real fingerprint functions: different devices and
   // different option sets produce different key components.
-  cli::Options base;
-  cli::Options sabre = base;
+  pipeline::RoutingSpec base;
+  pipeline::RoutingSpec sabre = base;
   sabre.router = "sabre";
-  cli::Options no_context = base;
+  pipeline::RoutingSpec no_context = base;
   no_context.codar.context_aware = false;
-  cli::Options reseeded = base;
+  pipeline::RoutingSpec reseeded = base;
   reseeded.seed = base.seed + 1;
-  cli::Options with_extra = base;
+  pipeline::RoutingSpec with_extra = base;
   with_extra.set_extra("beam", "8");
-  cli::Options reweighted = base;
+  pipeline::RoutingSpec reweighted = base;
   reweighted.fid.beta = 0.0;  // result-changing for codar-fid
-  cli::Options whole_circuit = base;
+  pipeline::RoutingSpec whole_circuit = base;
   whole_circuit.mapping_horizon = 0;  // layout searched past the horizon
   EXPECT_NE(options_fingerprint(base), options_fingerprint(sabre));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(no_context));
@@ -114,12 +115,43 @@ TEST(RouteCache, RealFingerprintsGiveDistinctKeys) {
             arch::enfield_6x6().fingerprint());
 }
 
+TEST(RouteCache, PinnedOptionsFingerprintValues) {
+  // Pinned like the circuit and device fingerprints: the options
+  // fingerprint is the third cache-key component, so a silent change
+  // would turn every persisted --cache-dir entry into a miss. If a
+  // schema change is intentional, bump the version tag in
+  // options_fingerprint and re-pin.
+  EXPECT_EQ(options_fingerprint(pipeline::RoutingSpec{}),
+            0x1e2f93db8aa7c909ull);
+
+  pipeline::RoutingSpec every;  // every fingerprinted field off its default
+  every.router = "codar-fid";
+  every.mapping = "greedy";
+  every.seed = 3;
+  every.mapping_rounds = 2;
+  every.mapping_horizon = 0;
+  every.peephole = true;
+  every.verify = false;
+  every.codar.context_aware = false;
+  every.codar.duration_aware = false;
+  every.codar.commutativity_aware = false;
+  every.codar.fine_priority = false;
+  every.codar.front_window = 8;
+  every.codar.stagnation_threshold = 5;
+  every.fid.alpha = 1.5;
+  every.fid.beta = 0.0;
+  every.fid.gamma = 2.25;
+  every.set_extra("beam", "8");
+  EXPECT_EQ(options_fingerprint(every), 0x2c18a76b5ebd2af8ull);
+}
+
 TEST(RouteCache, TimingAndPathsDoNotChangeOptionsFingerprint) {
   // Presentation-only fields must not fragment the cache.
   cli::Options base;
   cli::Options timed = base;
   timed.timing = true;
   timed.threads = 12;
+  timed.device = "enfield";  // the device is keyed by its content
   timed.stats_path = "/tmp/x.json";
   EXPECT_EQ(options_fingerprint(base), options_fingerprint(timed));
 }

@@ -17,7 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "codar/cli/driver.hpp"
-#include "codar/cli/report.hpp"
+#include "codar/cli/options.hpp"
 #include "codar/common/json.hpp"
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/service/server.hpp"
@@ -159,7 +159,8 @@ TEST(ServeSocket, EightClientStormIsByteIdenticalToBatch) {
   for (int c = 0; c < kClients; ++c) {
     ASSERT_EQ(results[c].size(), suite.size()) << "client " << c;
     for (std::size_t i = 0; i < suite.size(); ++i) {
-      EXPECT_EQ(results[c][i], cli::to_json(reference[i], sopts.defaults))
+      EXPECT_EQ(results[c][i],
+                pipeline::to_json(reference[i], sopts.defaults))
           << "client " << c << ", " << suite[i].name;
     }
   }
@@ -217,8 +218,8 @@ TEST(ServeSocket, UnixDomainSocketServesConcurrentClients) {
       }
       for (int i = 0; i < 8; ++i) {
         EXPECT_EQ(result_of(by_id.at(std::to_string(i))),
-                  cli::to_json(reference[static_cast<std::size_t>(i)],
-                               sopts.defaults));
+                  pipeline::to_json(reference[static_cast<std::size_t>(i)],
+                                    sopts.defaults));
       }
     });
   }
@@ -405,7 +406,7 @@ TEST(ServeSocket, BackpressureCapKeepsPipelinedBurstsLive) {
 }
 
 TEST(ServeSocketArgs, ParsesTransportFlags) {
-  const ServeOptions opts = parse_serve_args(
+  const ServeOptions opts = cli::parse_serve_args(
       {"--listen", "tcp:0.0.0.0:7777", "--max-inflight", "128",
        "--idle-timeout-ms", "30000", "--max-line-bytes", "65536"});
   EXPECT_EQ(opts.listen, "tcp:0.0.0.0:7777");
@@ -414,24 +415,25 @@ TEST(ServeSocketArgs, ParsesTransportFlags) {
   EXPECT_EQ(opts.max_line_bytes, 65536u);
 
   // Defaults.
-  const ServeOptions defaults = parse_serve_args({});
+  const ServeOptions defaults = cli::parse_serve_args({});
   EXPECT_EQ(defaults.listen, "stdio");
   EXPECT_EQ(defaults.max_inflight, 64u);
   EXPECT_EQ(defaults.idle_timeout_ms, 0);
 
   // Bad specs fail at parse time, not at bind time.
-  EXPECT_THROW(parse_serve_args({"--listen", "carrier-pigeon:coop"}),
+  EXPECT_THROW(cli::parse_serve_args({"--listen", "carrier-pigeon:coop"}),
                UsageError);
-  EXPECT_THROW(parse_serve_args({"--listen", "tcp:host:99999"}),
+  EXPECT_THROW(cli::parse_serve_args({"--listen", "tcp:host:99999"}),
                UsageError);
-  EXPECT_THROW(parse_serve_args({"--max-inflight", "0"}), UsageError);
-  EXPECT_THROW(parse_serve_args({"--max-line-bytes", "10"}),
+  EXPECT_THROW(cli::parse_serve_args({"--max-inflight", "0"}), UsageError);
+  EXPECT_THROW(cli::parse_serve_args({"--max-line-bytes", "10"}),
                UsageError);
-  EXPECT_THROW(parse_serve_args({"--idle-timeout-ms", "99999999999"}),
-               UsageError);
+  EXPECT_THROW(
+      cli::parse_serve_args({"--idle-timeout-ms", "99999999999"}),
+      UsageError);
 
-  EXPECT_NE(serve_usage().find("--listen"), std::string::npos);
-  EXPECT_NE(serve_usage().find("--max-inflight"), std::string::npos);
+  EXPECT_NE(cli::serve_usage().find("--listen"), std::string::npos);
+  EXPECT_NE(cli::serve_usage().find("--max-inflight"), std::string::npos);
 }
 
 TEST(ServeSocketArgs, StartServeRejectsStdioAndBadDevices) {

@@ -15,6 +15,7 @@
 
 #include "codar/arch/device_json.hpp"
 #include "codar/cli/driver.hpp"
+#include "codar/cli/options.hpp"
 #include "codar/common/json.hpp"
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/workloads/suite.hpp"
@@ -109,7 +110,8 @@ TEST(Serve, SuiteRoundTripIsByteIdenticalToBatchAndWarmRerunRoutesNothing) {
   const std::vector<RouteReport> reference =
       cli::run_batch(suite, device, sopts.defaults);
   for (std::size_t i = 0; i < suite.size(); ++i) {
-    const std::string expected = cli::to_json(reference[i], sopts.defaults);
+    const std::string expected =
+        pipeline::to_json(reference[i], sopts.defaults);
     ASSERT_TRUE(index.count(std::to_string(i))) << suite[i].name;
     ASSERT_TRUE(index.count(std::to_string(1000 + i))) << suite[i].name;
     // Cold and warm responses both carry byte-identical batch stats.
@@ -299,7 +301,7 @@ TEST(Serve, InlineDeviceObjectsShareTheCacheByContent) {
 }
 
 TEST(ServeArgs, ParseAndUsage) {
-  const ServeOptions opts = parse_serve_args(
+  const ServeOptions opts = cli::parse_serve_args(
       {"--device", "q16", "--threads", "3", "--cache-bytes", "1024",
        "--cache-shards", "2", "--no-verify"});
   EXPECT_EQ(opts.defaults.device, "q16");
@@ -308,30 +310,32 @@ TEST(ServeArgs, ParseAndUsage) {
   EXPECT_EQ(opts.cache_shards, 2);
   EXPECT_FALSE(opts.defaults.verify);
 
-  EXPECT_THROW(parse_serve_args({"--cache-bytes"}), UsageError);
-  EXPECT_THROW(parse_serve_args({"--cache-bytes", "lots"}), UsageError);
-  EXPECT_THROW(parse_serve_args({"--cache-shards", "0"}), UsageError);
-  // 2^32 would truncate to int 0 past a naive >= 1 check.
-  EXPECT_THROW(parse_serve_args({"--cache-shards", "4294967296"}),
+  EXPECT_THROW(cli::parse_serve_args({"--cache-bytes"}), UsageError);
+  EXPECT_THROW(cli::parse_serve_args({"--cache-bytes", "lots"}),
                UsageError);
-  EXPECT_THROW(parse_serve_args({"positional.qasm"}), UsageError);
+  EXPECT_THROW(cli::parse_serve_args({"--cache-shards", "0"}), UsageError);
+  // 2^32 would truncate to int 0 past a naive >= 1 check.
+  EXPECT_THROW(cli::parse_serve_args({"--cache-shards", "4294967296"}),
+               UsageError);
+  EXPECT_THROW(cli::parse_serve_args({"positional.qasm"}), UsageError);
 
-  EXPECT_NE(serve_usage().find("--cache-bytes"), std::string::npos);
+  EXPECT_NE(cli::serve_usage().find("--cache-bytes"), std::string::npos);
 }
 
 TEST(ServeCli, HelpAndBadFlagsAndBadDevice) {
   std::istringstream in;
   std::ostringstream out;
   std::ostringstream err;
-  EXPECT_EQ(run_serve_cli({"--help"}, in, out, err), 0);
+  EXPECT_EQ(cli::run_cli({"serve", "--help"}, in, out, err), 0);
   EXPECT_NE(out.str().find("codar serve"), std::string::npos);
 
   std::ostringstream err2;
-  EXPECT_EQ(run_serve_cli({"--wat"}, in, out, err2), 2);
+  EXPECT_EQ(cli::run_cli({"serve", "--wat"}, in, out, err2), 2);
   EXPECT_NE(err2.str().find("unknown serve flag"), std::string::npos);
 
   std::ostringstream err3;
-  EXPECT_EQ(run_serve_cli({"--device", "no_such"}, in, out, err3), 2);
+  EXPECT_EQ(cli::run_cli({"serve", "--device", "no_such"}, in, out, err3),
+            2);
 }
 
 }  // namespace
