@@ -8,8 +8,8 @@
 // Distance queries are answered by a pluggable DistanceOracle (see
 // distance_oracle.hpp): a dense all-pairs matrix for small devices and an
 // on-demand CSR/BFS backend with an LRU row cache for large ones, chosen
-// by set_distance_policy() / the process-wide default. Both return
-// identical values; only memory and latency differ.
+// by device size. Both return identical values; only memory and latency
+// differ.
 
 #include <atomic>
 #include <cstdint>
@@ -28,15 +28,11 @@ using ir::Qubit;
 class DistanceOracle;
 
 /// How distance queries are resolved (see distance_oracle.hpp for the
-/// backends). Graphs default to kInherit, which reads the process-wide
-/// policy (kAuto unless overridden via --distance-oracle or
-/// set_default_distance_policy()).
+/// backends). Graphs default to kAuto; the other two force a backend.
 enum class DistancePolicy {
-  kInherit,   ///< Use the process-wide default policy.
   kAuto,      ///< Dense up to kDenseOracleMaxQubits qubits, on-demand above.
   kDense,     ///< Force the all-pairs matrix (O(V^2) memory).
   kOnDemand,  ///< Force CSR + LRU-cached per-source BFS rows.
-  kLandmark,  ///< On-demand plus a landmark table for lower_bound().
 };
 
 /// Distance value for disconnected qubit pairs. Large but safely summable
@@ -104,12 +100,12 @@ class CouplingGraph {
 
   /// Steady-state memory bound of the distance backend in bytes (builds
   /// the oracle if needed). Dense: the V^2 matrix; on-demand: CSR +
-  /// landmark table + row-cache budget. The serve inline-device memo
-  /// accounts with this.
+  /// row-cache budget. The serve inline-device memo accounts with this.
   std::size_t distance_footprint_bytes() const;
 
-  /// Per-graph policy override; kInherit (the default) defers to the
-  /// process-wide policy. Resets an already-built oracle.
+  /// Per-graph backend choice; kAuto (the default) picks by size, and
+  /// the tests force a backend with the other two. Resets an already-built
+  /// oracle.
   void set_distance_policy(DistancePolicy policy);
   DistancePolicy distance_policy() const { return policy_; }
 
@@ -140,7 +136,7 @@ class CouplingGraph {
   std::vector<std::vector<int>> adjacency_edge_ids_;
   std::vector<std::pair<Qubit, Qubit>> edges_;
   std::vector<Coordinate> coords_;
-  DistancePolicy policy_ = DistancePolicy::kInherit;
+  DistancePolicy policy_ = DistancePolicy::kAuto;
   // Lazily built distance backend, invalidated by mutation and shared
   // across copies. The lazy build is race-free: the first reader builds
   // under oracle_mutex_ and publishes the raw pointer through

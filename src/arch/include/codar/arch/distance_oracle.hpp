@@ -9,17 +9,16 @@
 //    devices (<= kDenseOracleMaxQubits), and byte-identical to the
 //    pre-oracle behavior.
 //  - OnDemandDistanceOracle: CSR adjacency plus per-source BFS rows
-//    computed on demand and kept in a byte-budgeted LRU cache, with an
-//    optional landmark (ALT) table providing O(k) admissible lower bounds
-//    for A*-style consumers. Memory is O(E + k*V + cache budget), which is
-//    what lifts the JSON device cap from 4096 to 65536 qubits and makes
-//    grid-50x50 (2500 qubits, 25 MB dense) a routable device.
+//    computed on demand and kept in a byte-budgeted LRU cache. Memory is
+//    O(E + cache budget), which is what lifts the JSON device cap from
+//    4096 to 65536 qubits and makes grid-50x50 (2500 qubits, 25 MB dense)
+//    a routable device.
 //
 // Both backends return identical distances (BFS hop counts are unique), so
 // the choice is purely a memory/latency trade: routing results never
-// depend on the policy. Oracles own their data (a CSR copy of the
-// adjacency), so a CouplingGraph can be moved without invalidating an
-// already-built oracle.
+// depend on the backend, which is chosen by device size alone (kAuto).
+// Oracles own their data (a CSR copy of the adjacency), so a CouplingGraph
+// can be moved without invalidating an already-built oracle.
 //
 // Thread-safety: every backend is safe for concurrent readers — the dense
 // matrix is immutable, and the on-demand row cache serializes internally
@@ -29,7 +28,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "codar/arch/coupling_graph.hpp"
@@ -43,16 +41,6 @@ namespace codar::arch {
 /// byte-identical to the pre-oracle dense implementation.
 inline constexpr int kDenseOracleMaxQubits = 1024;
 
-/// Parses a policy name ("auto", "dense", "on-demand", "landmark") as used
-/// by the --distance-oracle CLI/serve knob. Throws std::invalid_argument
-/// on anything else.
-DistancePolicy parse_distance_policy(const std::string& name);
-
-/// The process-wide default policy, consulted by graphs whose own policy
-/// is kInherit. Starts at kAuto. Setting kInherit resets to kAuto.
-void set_default_distance_policy(DistancePolicy policy);
-DistancePolicy default_distance_policy();
-
 /// Polymorphic shortest-path oracle over one coupling graph snapshot.
 class DistanceOracle {
  public:
@@ -61,18 +49,12 @@ class DistanceOracle {
   /// Exact shortest-path hop count; kInfDistance if unreachable.
   virtual int distance(Qubit a, Qubit b) const = 0;
 
-  /// Admissible lower bound on distance(a, b) — never above the true
-  /// value, so A*-style consumers can use it as a heuristic. The default
-  /// is exact; the landmark backend answers from its triangle-inequality
-  /// table without running a BFS.
-  virtual int lower_bound(Qubit a, Qubit b) const { return distance(a, b); }
-
-  /// Backend name for diagnostics ("dense", "on-demand", "landmark").
+  /// Backend name for diagnostics ("dense", "on-demand").
   virtual const char* name() const = 0;
 
   /// Steady-state memory bound in bytes: what this oracle can grow to
-  /// (dense: the full matrix; on-demand: CSR + landmark table + row-cache
-  /// budget). The serve inline-device memo accounts with this.
+  /// (dense: the full matrix; on-demand: CSR + row-cache budget). The
+  /// serve inline-device memo accounts with this.
   virtual std::size_t footprint_bytes() const = 0;
 
   /// Non-null when every distance lives in one flat row-major V x V array
@@ -106,35 +88,25 @@ class DenseDistanceOracle final : public DistanceOracle {
   std::vector<int> dist_;
 };
 
-/// CSR adjacency + on-demand per-source BFS rows in a byte-budgeted LRU,
-/// with an optional landmark (ALT) lower-bound table.
+/// CSR adjacency + on-demand per-source BFS rows in a byte-budgeted LRU.
 class OnDemandDistanceOracle final : public DistanceOracle {
  public:
   struct Config {
     /// Byte budget for cached BFS rows (one row = V ints). At least one
     /// row is always kept so progress is guaranteed.
     std::size_t row_cache_bytes = 64u << 20;
-    /// Landmarks for lower_bound(); 0 disables the table (lower_bound
-    /// then falls back to the exact distance).
-    int num_landmarks = 0;
   };
 
   explicit OnDemandDistanceOracle(const CouplingGraph& graph);
   OnDemandDistanceOracle(const CouplingGraph& graph, Config config);
 
   int distance(Qubit a, Qubit b) const override;
-  int lower_bound(Qubit a, Qubit b) const override;
-  const char* name() const override {
-    return landmark_dist_.empty() ? "on-demand" : "landmark";
-  }
+  const char* name() const override { return "on-demand"; }
   std::size_t footprint_bytes() const override;
 
   /// Observability for tests and diagnostics.
   std::size_t rows_cached() const;
   std::uint64_t row_computations() const;
-  int num_landmarks() const {
-    return n_ == 0 ? 0 : static_cast<int>(landmark_dist_.size() / n_);
-  }
 
  private:
   /// One cached BFS row plus its LRU links (indices into rows_).
@@ -156,10 +128,6 @@ class OnDemandDistanceOracle final : public DistanceOracle {
   std::vector<Qubit> csr_neighbors_;       ///< Concatenated adjacency.
   std::size_t max_rows_ = 1;               ///< Row-cache capacity.
 
-  /// d(L, v) for each landmark L, row-major [landmark][qubit]. Immutable
-  /// after construction, so lower_bound() never takes the lock.
-  std::vector<int> landmark_dist_;
-
   /// Serializes the mutable row-LRU below: `distance()` on a shared oracle
   /// (graph copies share one) is called from every routing worker at once.
   mutable common::Mutex lock_;
@@ -171,10 +139,9 @@ class OnDemandDistanceOracle final : public DistanceOracle {
   mutable std::uint64_t row_computations_ CODAR_GUARDED_BY(lock_) = 0;
 };
 
-/// Builds the backend `policy` resolves to for a graph of this size.
-/// kInherit reads the process default first; kAuto then applies the size
-/// threshold. The oracle copies what it needs — it does not retain a
-/// reference to `graph`.
+/// Builds the backend `policy` resolves to for a graph of this size
+/// (kAuto applies the size threshold). The oracle copies what it needs —
+/// it does not retain a reference to `graph`.
 std::unique_ptr<DistanceOracle> make_distance_oracle(
     const CouplingGraph& graph, DistancePolicy policy);
 

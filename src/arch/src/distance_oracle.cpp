@@ -1,15 +1,11 @@
 #include "codar/arch/distance_oracle.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace codar::arch {
 
 namespace {
-
-std::atomic<DistancePolicy> g_default_policy{DistancePolicy::kAuto};
 
 /// BFS from `source` over a CSR adjacency into `out` (pre-sized to n,
 /// kInfDistance-filled by the caller). Uses a plain vector as the queue —
@@ -36,31 +32,7 @@ void csr_bfs(std::size_t n, const std::vector<std::int32_t>& offsets,
   }
 }
 
-/// Default landmark count for the kLandmark policy: enough for useful ALT
-/// bounds on lattices, cheap even on 65536-qubit devices (k BFS passes +
-/// k*V ints).
-constexpr int kDefaultLandmarks = 8;
-
 }  // namespace
-
-DistancePolicy parse_distance_policy(const std::string& name) {
-  if (name == "auto") return DistancePolicy::kAuto;
-  if (name == "dense") return DistancePolicy::kDense;
-  if (name == "on-demand") return DistancePolicy::kOnDemand;
-  if (name == "landmark") return DistancePolicy::kLandmark;
-  throw std::invalid_argument(
-      "unknown distance-oracle policy '" + name +
-      "' (expected auto, dense, on-demand, or landmark)");
-}
-
-void set_default_distance_policy(DistancePolicy policy) {
-  if (policy == DistancePolicy::kInherit) policy = DistancePolicy::kAuto;
-  g_default_policy.store(policy, std::memory_order_relaxed);
-}
-
-DistancePolicy default_distance_policy() {
-  return g_default_policy.load(std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // DenseDistanceOracle
@@ -118,34 +90,6 @@ OnDemandDistanceOracle::OnDemandDistanceOracle(const CouplingGraph& graph,
   max_rows_ = std::min(max_rows_, n_);  // more rows than sources is waste
   slot_of_source_.assign(n_, -1);
   rows_.reserve(std::min<std::size_t>(max_rows_, 64));
-
-  const int k = std::min<int>(config.num_landmarks, static_cast<int>(n_));
-  if (k > 0) {
-    // Farthest-point landmark selection (deterministic): start at qubit 0,
-    // then repeatedly take the qubit maximizing the distance to the chosen
-    // set — the standard ALT heuristic, restricted to reachable vertices
-    // so disconnected components never produce bogus "far" picks.
-    landmark_dist_.reserve(static_cast<std::size_t>(k) * n_);
-    std::vector<int> row;
-    std::vector<Qubit> queue;
-    std::vector<int> min_dist(n_, kInfDistance);
-    Qubit next = 0;
-    for (int l = 0; l < k; ++l) {
-      csr_bfs(n_, csr_offsets_, csr_neighbors_, next, row, queue);
-      landmark_dist_.insert(landmark_dist_.end(), row.begin(), row.end());
-      Qubit farthest = next;
-      int farthest_d = -1;
-      for (std::size_t v = 0; v < n_; ++v) {
-        min_dist[v] = std::min(min_dist[v], row[v]);
-        if (min_dist[v] != kInfDistance && min_dist[v] > farthest_d) {
-          farthest_d = min_dist[v];
-          farthest = static_cast<Qubit>(v);
-        }
-      }
-      if (farthest_d <= 0) break;  // every qubit already is a landmark
-      next = farthest;
-    }
-  }
 }
 
 void OnDemandDistanceOracle::detach(int slot) const {
@@ -211,29 +155,9 @@ int OnDemandDistanceOracle::distance(Qubit a, Qubit b) const {
   return row_for(src)[static_cast<std::size_t>(dst)];
 }
 
-int OnDemandDistanceOracle::lower_bound(Qubit a, Qubit b) const {
-  if (landmark_dist_.empty()) return distance(a, b);
-  if (a == b) return 0;
-  // ALT bound: d(a, b) >= |d(L, a) - d(L, b)| for every landmark L.
-  // An unreachable pair (one side finite, one infinite) proves a and b
-  // sit in different components, so the exact answer is kInfDistance.
-  int best = 0;
-  const std::size_t k = landmark_dist_.size() / n_;
-  for (std::size_t l = 0; l < k; ++l) {
-    const int* row = landmark_dist_.data() + l * n_;
-    const int da = row[static_cast<std::size_t>(a)];
-    const int db = row[static_cast<std::size_t>(b)];
-    if ((da == kInfDistance) != (db == kInfDistance)) return kInfDistance;
-    if (da == kInfDistance) continue;  // landmark sees neither endpoint
-    best = std::max(best, std::abs(da - db));
-  }
-  return best;
-}
-
 std::size_t OnDemandDistanceOracle::footprint_bytes() const {
   return csr_offsets_.capacity() * sizeof(std::int32_t) +
          csr_neighbors_.capacity() * sizeof(Qubit) +
-         landmark_dist_.capacity() * sizeof(int) +
          slot_of_source_.capacity() * sizeof(int) +
          max_rows_ * (n_ * sizeof(int) + sizeof(Row));
 }
@@ -252,7 +176,6 @@ std::uint64_t OnDemandDistanceOracle::row_computations() const {
 
 std::unique_ptr<DistanceOracle> make_distance_oracle(
     const CouplingGraph& graph, DistancePolicy policy) {
-  if (policy == DistancePolicy::kInherit) policy = default_distance_policy();
   if (policy == DistancePolicy::kAuto) {
     policy = graph.num_qubits() <= kDenseOracleMaxQubits
                  ? DistancePolicy::kDense
@@ -263,12 +186,6 @@ std::unique_ptr<DistanceOracle> make_distance_oracle(
       return std::make_unique<DenseDistanceOracle>(graph);
     case DistancePolicy::kOnDemand:
       return std::make_unique<OnDemandDistanceOracle>(graph);
-    case DistancePolicy::kLandmark: {
-      OnDemandDistanceOracle::Config config;
-      config.num_landmarks = kDefaultLandmarks;
-      return std::make_unique<OnDemandDistanceOracle>(graph, config);
-    }
-    case DistancePolicy::kInherit:
     case DistancePolicy::kAuto:
       break;  // resolved above
   }

@@ -139,14 +139,12 @@ class LayerSearch {
 
   /// Admissible-ish remaining-work estimate: each unsatisfied pair still
   /// needs at least D-1 SWAPs (a SWAP shortens one pair by at most 1).
-  /// Uses the oracle's lower_bound: exact on the dense and plain on-demand
-  /// backends, a cheap landmark (ALT) bound under --distance-oracle
-  /// landmark — still admissible either way, so solutions stay optimal
-  /// within the expansion budget.
+  /// Priced with exact distances, which every backend returns alike, so
+  /// the search (and its tie-breaking) cannot depend on the backend.
   double heuristic(const Layout& layout) const {
     double h = 0.0;
     for (const auto& [la, lb] : targets_) {
-      const int d = dist_.lower_bound(layout.physical(la), layout.physical(lb));
+      const int d = dist_.distance(layout.physical(la), layout.physical(lb));
       h += std::max(0, d - 1);
     }
     return h;
@@ -210,8 +208,8 @@ RoutingResult AstarRouter::route(const ir::Circuit& circuit,
   Layout layout = initial;
   ir::Circuit out(device_.graph.num_qubits(), circuit.name() + "_astar");
   core::RouterStats stats;
-  // The greedy fallback steps along exact shortest paths, so it queries
-  // distance() (not lower_bound()) through a cached oracle reference.
+  // The greedy fallback steps along exact shortest paths through a
+  // cached oracle reference.
   const arch::DistanceOracle& dist = device_.graph.oracle();
 
   // Greedy per-gate fallback: bring one pair together along a shortest

@@ -1,17 +1,18 @@
 #pragma once
 
 // Command-line surface of the `codar` binary: QASM in, routed QASM out,
-// with device/router/initial-mapping selection, per-pass knobs, JSON
+// with device/router/initial-mapping selection, routing knobs, JSON
 // statistics and a multi-threaded batch mode (directory of .qasm files, or
 // the built-in 71-benchmark suite) — and `codar serve`, whose command line
 // sets the service options and the per-request routing defaults.
 //
 // Router and initial-mapping selection is string-keyed through the
 // pipeline registries: `--router`/`--initial` validate against the
-// registered names, `--list-routers`/`--list-mappings` enumerate them, and
-// pass-specific knob flags (the CODAR ablation switches, --seed,
-// --mapping-rounds) are parsed by the hooks the passes registered — a new
-// pass never needs a CLI edit.
+// registered names, `--list-routers`/`--list-mappings` enumerate them.
+// Knob flags (the CODAR ablation switches, --seed, --mapping-rounds, ...)
+// are rows of pipeline::routing_knobs(), the table `codar serve` reads its
+// "options" through too; a new pass needs no CLI edit, and reads its own
+// knobs from `--set KEY=VALUE`.
 
 #include <string>
 #include <vector>

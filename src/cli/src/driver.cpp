@@ -108,6 +108,38 @@ std::string batch_json(const std::vector<pipeline::RouteReport>& reports,
   return out.str();
 }
 
+/// One "NAME<TAB>description" line per registry entry.
+template <typename Entry>
+std::string listing(const std::vector<Entry>& entries,
+                    std::string Entry::*name) {
+  std::string text;
+  for (const Entry& entry : entries) {
+    text += entry.*name + "\t" + entry.description + "\n";
+  }
+  return text;
+}
+
+/// One deterministic JSON line per device: shape plus the content
+/// fingerprint the serve route cache keys on. scripts/
+/// check_device_files.sh diffs two runs of this to pin determinism.
+std::string describe_device(const std::string& spec) {
+  const arch::Device device = pipeline::DeviceRegistry::instance().make(spec);
+  char fp[32];
+  std::snprintf(fp, sizeof(fp), "0x%016llx",
+                static_cast<unsigned long long>(device.fingerprint()));
+  std::ostringstream out;
+  out << "{\"name\": " << common::json_quote(device.name)
+      << ", \"qubits\": " << device.graph.num_qubits()
+      << ", \"edges\": " << device.graph.num_edges() << ", \"coordinates\": "
+      << (device.graph.has_coordinates() ? "true" : "false")
+      << ", \"calibrated\": "
+      << (device.calibration.empty() ? "false" : "true")
+      << ", \"coherence\": "
+      << (device.coherence.any_finite() ? "true" : "false")
+      << ", \"fingerprint\": \"" << fp << "\"}\n";
+  return out.str();
+}
+
 int run_single(const Options& opts, const arch::Device& device,
                std::ostream& out, std::ostream& err) {
   pipeline::RouteReport report;
@@ -216,65 +248,37 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
     err << "error: " << e.what() << "\n\n" << help_text;
     return 2;
   }
-  if (opts.help || serve_opts.help) {
-    out << help_text;
-    return 0;
-  }
-  if (serve) return service::run_serve(serve_opts, in, out, err);
-  if (opts.list_devices) {
-    for (const pipeline::DeviceEntry& entry :
-         pipeline::DeviceRegistry::instance().entries()) {
-      out << entry.spec << "\t" << entry.description << "\n";
-    }
-    return 0;
-  }
-  if (!opts.describe_device.empty()) {
-    // One deterministic JSON line per device: shape plus the content
-    // fingerprint the serve route cache keys on. scripts/
-    // check_device_files.sh diffs two runs of this to pin determinism.
-    try {
-      const arch::Device device = pipeline::DeviceRegistry::instance().make(
-          opts.describe_device);
-      char fp[32];
-      std::snprintf(fp, sizeof(fp), "0x%016llx",
-                    static_cast<unsigned long long>(device.fingerprint()));
-      out << "{\"name\": " << common::json_quote(device.name)
-          << ", \"qubits\": " << device.graph.num_qubits()
-          << ", \"edges\": " << device.graph.num_edges()
-          << ", \"coordinates\": "
-          << (device.graph.has_coordinates() ? "true" : "false")
-          << ", \"calibrated\": "
-          << (device.calibration.empty() ? "false" : "true")
-          << ", \"coherence\": "
-          << (device.coherence.any_finite() ? "true" : "false")
-          << ", \"fingerprint\": \"" << fp << "\"}\n";
-      return 0;
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 2;
-    }
-  }
-  if (opts.list_routers) {
-    for (const pipeline::RouterEntry& entry :
-         pipeline::RouterRegistry::instance().entries()) {
-      out << entry.name << "\t" << entry.description << "\n";
-    }
-    return 0;
-  }
-  if (opts.list_mappings) {
-    for (const pipeline::MappingEntry& entry :
-         pipeline::MappingRegistry::instance().entries()) {
-      out << entry.name << "\t" << entry.description << "\n";
-    }
-    return 0;
+  if (serve && !serve_opts.help) {
+    return service::run_serve(serve_opts, in, out, err);
   }
   try {
-    const arch::Device device =
-        pipeline::DeviceRegistry::instance().make(opts.device);
-    if (!opts.batch_dir.empty() || opts.suite || opts.inputs.size() > 1) {
-      return run_many(opts, device, out, err);
+    // Help and listings go through write_text like routed output, so a
+    // lost stdout is a write error here too.
+    if (opts.help || serve_opts.help) {
+      write_text("", help_text, out, "stdout");
+    } else if (opts.list_devices) {
+      write_text("", listing(pipeline::DeviceRegistry::instance().entries(),
+                             &pipeline::DeviceEntry::spec),
+                 out, "stdout");
+    } else if (!opts.describe_device.empty()) {
+      write_text("", describe_device(opts.describe_device), out, "stdout");
+    } else if (opts.list_routers) {
+      write_text("", listing(pipeline::RouterRegistry::instance().entries(),
+                             &pipeline::RouterEntry::name),
+                 out, "stdout");
+    } else if (opts.list_mappings) {
+      write_text("", listing(pipeline::MappingRegistry::instance().entries(),
+                             &pipeline::MappingEntry::name),
+                 out, "stdout");
+    } else {
+      const arch::Device device =
+          pipeline::DeviceRegistry::instance().make(opts.device);
+      if (!opts.batch_dir.empty() || opts.suite || opts.inputs.size() > 1) {
+        return run_many(opts, device, out, err);
+      }
+      return run_single(opts, device, out, err);
     }
-    return run_single(opts, device, out, err);
+    return 0;
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
     return 2;

@@ -1,9 +1,10 @@
 #include "codar/cli/options.hpp"
 
 #include <charconv>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
-#include "codar/arch/distance_oracle.hpp"
 #include "codar/pipeline/registry.hpp"
 #include "codar/service/transport.hpp"
 
@@ -11,8 +12,24 @@ namespace codar::cli {
 
 namespace {
 
-/// Tries to consume one routing flag into `spec`: the generic selection
-/// flags plus any knob flag claimed by a registered pass's parsing hook.
+/// Parses all of `value` as an integer of type T, or throws UsageError
+/// naming `flag`.
+template <typename T>
+T parse_int(const std::string& flag, const std::string& value) {
+  T result = 0;
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), result);
+  if (ec != std::errc() || ptr != value.data() + value.size()) {
+    const char* what =
+        std::is_signed_v<T> ? "an integer" : "a non-negative integer";
+    throw pipeline::UsageError(flag + " expects " + what + ", got '" + value +
+                               "'");
+  }
+  return result;
+}
+
+/// Tries to consume one routing flag into `spec`: the device, router,
+/// thread and --set flags here, every knob flag through the knob table.
 /// Returns false when `arg` is not a routing flag.
 bool parse_routing_flag(pipeline::RoutingSpec& spec, const std::string& arg,
                         const pipeline::FlagValue& value) {
@@ -22,10 +39,13 @@ bool parse_routing_flag(pipeline::RoutingSpec& spec, const std::string& arg,
     // Validate eagerly so a typo fails at parse time with the registered
     // names, not at route time.
     spec.router = pipeline::RouterRegistry::instance().at(value()).name;
-  } else if (arg == "--initial") {
-    spec.mapping = pipeline::MappingRegistry::instance().at(value()).name;
   } else if (arg == "--threads" || arg == "-j") {
-    spec.threads = pipeline::knob_at_least(arg, value(), 0);
+    const long long threads = parse_int<long long>(arg, value());
+    if (threads < 0) throw pipeline::UsageError(arg + " must be >= 0");
+    if (threads > std::numeric_limits<int>::max()) {
+      throw pipeline::UsageError(arg + " is out of range");
+    }
+    spec.threads = static_cast<int>(threads);
   } else if (arg == "--set") {
     // Free-form knob for externally registered passes (see
     // RoutingSpec::extras); built-in knobs have dedicated flags.
@@ -35,30 +55,8 @@ bool parse_routing_flag(pipeline::RoutingSpec& spec, const std::string& arg,
       throw pipeline::UsageError("--set expects KEY=VALUE, got '" + kv + "'");
     }
     spec.set_extra(kv.substr(0, eq), kv.substr(eq + 1));
-  } else if (arg == "--distance-oracle") {
-    // Process-wide distance-backend override, applied at parse time: it
-    // only changes how distances are computed (memory/latency), never
-    // their values, so it is deliberately not part of RoutingSpec or any
-    // route-cache key — and not accepted on untrusted serve request
-    // lines, only on the trusted command line.
-    try {
-      arch::set_default_distance_policy(arch::parse_distance_policy(value()));
-    } catch (const std::invalid_argument& e) {
-      throw pipeline::UsageError(e.what());
-    }
-  } else if (arg == "--no-verify") {
-    spec.verify = false;
-  } else if (arg == "--timing") {
-    spec.timing = true;
-  } else if (arg == "--peephole") {
-    spec.peephole = true;
   } else {
-    // Pass-specific knobs (--no-context, --window, --seed, ...) belong to
-    // whichever registered pass claimed them.
-    return pipeline::RouterRegistry::instance().parse_knob(spec, arg,
-                                                           value) ||
-           pipeline::MappingRegistry::instance().parse_knob(spec, arg,
-                                                            value);
+    return pipeline::set_knob_flag(spec, arg, value);
   }
   return true;
 }
@@ -88,17 +86,6 @@ bool walk_args(const std::vector<std::string>& args,
   return help;
 }
 
-std::size_t parse_size(const std::string& flag, const std::string& value) {
-  std::size_t result = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), result);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    throw pipeline::UsageError(flag + " expects a non-negative integer, got '" +
-                               value + "'");
-  }
-  return result;
-}
-
 /// The routing flags, shared by both help texts: for `codar` they
 /// configure every route, for `codar serve` the per-request defaults.
 constexpr const char* kRoutingUsage =
@@ -117,11 +104,6 @@ constexpr const char* kRoutingUsage =
       --peephole        run the peephole cleanup pass before routing
       --set KEY=VALUE   free-form knob for externally registered passes
                         (read via RoutingSpec::extra; cache-key relevant)
-      --distance-oracle MODE
-                        distance backend: auto (default; dense matrix up
-                        to 1024 qubits, on-demand above), dense,
-                        on-demand, or landmark. Affects memory and speed
-                        only — routed output is identical for every MODE
       --no-verify       skip the routing verifier
       --timing          add per-route and per-stage wall times (route_us,
                         stage_us) to the JSON stats; off by default so
@@ -194,9 +176,9 @@ service::ServeOptions parse_serve_args(const std::vector<std::string>& args) {
   opts.help = walk_args(args, opts.defaults, [&](const std::string& arg,
                                                  const auto& value) {
     if (arg == "--cache-bytes") {
-      opts.cache_bytes = parse_size(arg, value());
+      opts.cache_bytes = parse_int<std::size_t>(arg, value());
     } else if (arg == "--cache-shards") {
-      const std::size_t shards = parse_size(arg, value());
+      const std::size_t shards = parse_int<std::size_t>(arg, value());
       // Upper bound before the int cast: 2^32 would truncate to 0 and
       // blow past RouteCache's num_shards >= 1 contract.
       if (shards < 1 || shards > 4096) {
@@ -209,9 +191,9 @@ service::ServeOptions parse_serve_args(const std::vector<std::string>& args) {
         throw pipeline::UsageError("--cache-dir expects a directory path");
       }
     } else if (arg == "--cache-disk-bytes") {
-      opts.cache_disk_bytes = parse_size(arg, value());
+      opts.cache_disk_bytes = parse_int<std::size_t>(arg, value());
     } else if (arg == "--warm-start") {
-      opts.warm_start = parse_size(arg, value());
+      opts.warm_start = parse_int<std::size_t>(arg, value());
     } else if (arg == "--listen") {
       opts.listen = value();
       try {
@@ -220,19 +202,19 @@ service::ServeOptions parse_serve_args(const std::vector<std::string>& args) {
         throw pipeline::UsageError(e.what());
       }
     } else if (arg == "--max-inflight") {
-      const std::size_t n = parse_size(arg, value());
+      const std::size_t n = parse_int<std::size_t>(arg, value());
       if (n < 1 || n > (1u << 20)) {
         throw pipeline::UsageError("--max-inflight must be in [1, 1048576]");
       }
       opts.max_inflight = n;
     } else if (arg == "--idle-timeout-ms") {
-      const std::size_t ms = parse_size(arg, value());
+      const std::size_t ms = parse_int<std::size_t>(arg, value());
       if (ms > 86400000) {
         throw pipeline::UsageError("--idle-timeout-ms must be <= 86400000");
       }
       opts.idle_timeout_ms = static_cast<int>(ms);
     } else if (arg == "--max-line-bytes") {
-      const std::size_t n = parse_size(arg, value());
+      const std::size_t n = parse_int<std::size_t>(arg, value());
       if (n < 1024) {
         throw pipeline::UsageError("--max-line-bytes must be >= 1024");
       }
@@ -327,8 +309,7 @@ service options:
                         memory tier at boot (default 0)
       --threads, -j N   worker threads (0 = hardware concurrency)
 
-request defaults (a request's own fields override them, except
---distance-oracle: it is process-wide and never set by a request):
+request defaults (a request's own fields override them):
 )") + kRoutingUsage;
 }
 

@@ -1,10 +1,12 @@
 #pragma once
 
 // String-keyed factory registries for routing passes and initial-mapping
-// strategies. Each entry carries a name, a one-line description, a factory
-// and an optional knob-parsing hook, so adding a pass means registering
-// one entry — the CLI (`--router`, `--list-routers`, knob flags), the
-// serve protocol and the JSON stats all pick it up without edits.
+// strategies. Each entry carries a name, a one-line description and a
+// factory, so adding a pass means registering one entry — the CLI
+// (`--router`, `--list-routers`), the serve protocol and the JSON stats
+// all pick it up without edits. Knobs are not per-pass: the built-in ones
+// are rows of routing_knobs() (spec.hpp), and a registered pass reads its
+// own from RoutingSpec::extras (`--set KEY=VALUE`, serve "extras").
 //
 // The built-in passes self-register the first time a registry is used
 // (instance() runs their registration exactly once, thread-safely); user
@@ -29,17 +31,6 @@
 
 namespace codar::pipeline {
 
-/// Yields the argument of the flag currently being parsed. May throw
-/// UsageError when the command line has no value left.
-using FlagValue = std::function<std::string()>;
-
-/// Tries to consume one pass-specific flag (CLI spelling, e.g. "--window")
-/// into `spec`. Returns false when the flag does not belong to this pass;
-/// throws UsageError on a malformed value.
-using KnobParser = std::function<bool(RoutingSpec& spec,
-                                      const std::string& flag,
-                                      const FlagValue& value)>;
-
 /// One registered routing pass.
 struct RouterEntry {
   std::string name;         ///< Registry key, also the JSON stats name.
@@ -49,7 +40,6 @@ struct RouterEntry {
   std::function<std::unique_ptr<RoutingPass>(const arch::Device&,
                                              const RoutingSpec&)>
       make;
-  KnobParser parse_flag;  ///< May be null: pass has no knob flags.
 };
 
 /// One registered initial-mapping strategy.
@@ -57,7 +47,6 @@ struct MappingEntry {
   std::string name;         ///< Registry key, also the JSON stats name.
   std::string description;  ///< One line for --list-mappings.
   std::function<std::unique_ptr<MappingPass>(const RoutingSpec&)> make;
-  KnobParser parse_flag;  ///< May be null: strategy has no knob flags.
 };
 
 /// Ordered name → entry map; registration order is listing order.
@@ -109,16 +98,6 @@ class PassRegistry {
     return out;
   }
 
-  /// Offers one flag to every registered knob-parsing hook. Returns true
-  /// as soon as a pass claims it.
-  bool parse_knob(RoutingSpec& spec, const std::string& flag,
-                  const FlagValue& value) const {
-    for (const Entry& e : entries_) {
-      if (e.parse_flag && e.parse_flag(spec, flag, value)) return true;
-    }
-    return false;
-  }
-
  private:
   std::string kind_;
   std::vector<Entry> entries_;
@@ -137,18 +116,5 @@ class MappingRegistry : public PassRegistry<MappingEntry> {
   MappingRegistry() : PassRegistry("initial mapping") {}
   static MappingRegistry& instance();
 };
-
-/// Shared helper for knob hooks: parses a mandatory integral flag value,
-/// throwing UsageError on garbage.
-long long knob_int(const std::string& flag, const std::string& value);
-
-/// Shared helper for knob hooks: parses a mandatory integral flag value
-/// that must be at least `min` and fit an int, throwing UsageError on
-/// garbage or an out-of-range value.
-int knob_at_least(const std::string& flag, const std::string& value, int min);
-
-/// Shared helper for knob hooks: parses a mandatory finite floating-point
-/// flag value, throwing UsageError on garbage (inf/nan included).
-double knob_double(const std::string& flag, const std::string& value);
 
 }  // namespace codar::pipeline

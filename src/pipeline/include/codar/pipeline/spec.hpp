@@ -6,12 +6,17 @@
 // three presentation fields both front ends share (device spec, worker
 // threads, timing). `codar serve` takes its per-request defaults as a
 // RoutingSpec; the CLI's Options derives from it and adds its mode and
-// I/O fields.
+// I/O fields. Both front ends set the knobs through one table,
+// routing_knobs() below.
 
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "codar/core/codar_router.hpp"
@@ -91,5 +96,55 @@ struct RoutingSpec {
     return nullptr;
   }
 };
+
+/// One routing knob with a RoutingSpec field, as both front ends spell it:
+/// the `codar serve` "options" key, the CLI flag, the kind of value with
+/// its bound, and the field it sets. The front ends convert only their own
+/// syntax (argv text in set_knob_flag, a JSON value in
+/// service::parse_request) and hand the value to set(), so each bound is
+/// written once and a new knob is one row. Knobs of externally registered
+/// passes have no row: they go through RoutingSpec::extras.
+struct RoutingKnob {
+  enum class Kind {
+    kOn,       ///< A switch; the CLI flag takes no value and sets true.
+    kOff,      ///< A switch; the CLI flag takes no value and sets false.
+    kInt,      ///< An integer >= min that fits an int.
+    kSeed,     ///< Any 64-bit integer, kept modulo 2^64.
+    kNumber,   ///< A finite number >= min.
+    kMapping,  ///< A MappingRegistry name.
+  };
+  /// The value a front end converted: bool for switches, long long for
+  /// kInt/kSeed, double for kNumber, the name for kMapping.
+  using Value = std::variant<bool, long long, double, std::string>;
+  using Field =
+      std::variant<bool*, int*, std::uint64_t*, double*, std::string*>;
+
+  const char* key;   ///< serve "options" key, e.g. "window".
+  const char* flag;  ///< CLI flag, e.g. "--window" or "--no-context".
+  Kind kind;
+  Field (*field)(RoutingSpec&);  ///< The spec field the knob sets.
+  /// Least accepted kInt/kNumber value.
+  double min = -std::numeric_limits<double>::infinity();
+
+  /// Checks `value` against the kind and bound and writes it into `spec`.
+  /// Throws UsageError naming the knob as `name` (the caller's spelling:
+  /// "--window" on the command line, "'window'" in a request).
+  void set(RoutingSpec& spec, const Value& value,
+           const std::string& name) const;
+};
+
+/// Every built-in routing knob, in the order of the CLI help.
+std::span<const RoutingKnob> routing_knobs();
+
+/// Yields the argument of the flag being parsed. May throw UsageError
+/// when the command line has no value left.
+using FlagValue = std::function<std::string()>;
+
+/// The CLI entry of routing_knobs(): when `flag` is a knob's flag, converts
+/// its argv text (read through `value` unless the knob is a switch) and
+/// sets it. Returns false for any other flag; throws UsageError naming the
+/// flag on a malformed or out-of-bound value.
+bool set_knob_flag(RoutingSpec& spec, const std::string& flag,
+                   const FlagValue& value);
 
 }  // namespace codar::pipeline

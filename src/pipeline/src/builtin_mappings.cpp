@@ -1,8 +1,7 @@
 // The three built-in initial-mapping strategies as MappingPass adapters:
 // identity, the interaction-graph greedy placement (src/layout) and
-// SABRE's reverse-traversal refinement (the paper's evaluation protocol).
-// The SABRE strategy owns the seed / rounds / horizon knobs, so --seed,
-// --mapping-rounds and --mapping-horizon parse through its registry hook.
+// SABRE's reverse-traversal refinement (the paper's evaluation protocol),
+// which reads the seed / rounds / horizon knobs of the RoutingSpec.
 
 #include <memory>
 #include <sstream>
@@ -69,21 +68,6 @@ class SabreMapping final : public MappingPass {
   std::uint64_t seed_;
 };
 
-/// The reverse-traversal knobs (previously inlined in parse_routing_flag).
-bool parse_sabre_mapping_flag(RoutingSpec& spec, const std::string& flag,
-                              const FlagValue& value) {
-  if (flag == "--seed") {
-    spec.seed = static_cast<std::uint64_t>(knob_int(flag, value()));
-  } else if (flag == "--mapping-rounds") {
-    spec.mapping_rounds = knob_at_least(flag, value(), 1);
-  } else if (flag == "--mapping-horizon") {
-    spec.mapping_horizon = knob_at_least(flag, value(), 0);
-  } else {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 namespace detail {
@@ -93,20 +77,17 @@ void register_builtin_mappings(MappingRegistry& registry) {
                 "pi(q) = q (no placement)",
                 [](const RoutingSpec&) {
                   return std::unique_ptr<MappingPass>(new IdentityMapping());
-                },
-                nullptr});
+                }});
   registry.add({"greedy",
                 "interaction-graph greedy placement, deterministic",
                 [](const RoutingSpec&) {
                   return std::unique_ptr<MappingPass>(new GreedyMapping());
-                },
-                nullptr});
+                }});
   registry.add({"sabre",
                 "SABRE reverse-traversal refinement (the paper's protocol)",
                 [](const RoutingSpec& s) {
                   return std::unique_ptr<MappingPass>(new SabreMapping(s));
-                },
-                parse_sabre_mapping_flag});
+                }});
 }
 
 }  // namespace detail

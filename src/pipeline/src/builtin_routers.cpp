@@ -1,10 +1,8 @@
 // The three built-in routing passes as RoutingPass adapters: CODAR
 // (src/core), SABRE (src/sabre) and the layered A* baseline (src/astar).
-// Each registers itself with a name, a one-line description and — where
-// it has CLI-visible knobs — a flag-parsing hook, so the CLI/serve layers
-// never name these classes.
+// Each registers itself with a name, a one-line description and a
+// factory, so the CLI/serve layers never name these classes.
 
-#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -83,9 +81,6 @@ class CodarFidPass final : public RoutingPass {
   core::CodarConfig configure(const arch::Device& device,
                               const RoutingSpec& spec) {
     weights_ = spec.fid;
-    if (weights_.beta < 0.0 || weights_.gamma < 0.0) {
-      throw UsageError("--beta/--gamma must be >= 0");
-    }
     core::CodarConfig config = spec.codar;
     config.alpha = weights_.alpha;
     if (weights_.beta != 0.0 || weights_.gamma != 0.0) {
@@ -150,49 +145,6 @@ class AstarPass final : public RoutingPass {
   astar::AstarRouter router_;
 };
 
-/// The CODAR ablation knobs (previously inlined in parse_routing_flag).
-bool parse_codar_flag(RoutingSpec& spec, const std::string& flag,
-                      const FlagValue& value) {
-  if (flag == "--no-context") {
-    spec.codar.context_aware = false;
-  } else if (flag == "--no-duration") {
-    spec.codar.duration_aware = false;
-  } else if (flag == "--no-commutativity") {
-    spec.codar.commutativity_aware = false;
-  } else if (flag == "--no-fine-priority") {
-    spec.codar.fine_priority = false;
-  } else if (flag == "--window") {
-    // Any int; <= 0 means unbounded.
-    spec.codar.front_window =
-        knob_at_least(flag, value(), std::numeric_limits<int>::min());
-  } else if (flag == "--stagnation") {
-    spec.codar.stagnation_threshold = knob_at_least(flag, value(), 1);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// The codar-fid objective weights. The CODAR ablation knobs also apply to
-/// codar-fid (same core), but are claimed by parse_codar_flag above —
-/// registries offer each flag to every hook.
-bool parse_fid_flag(RoutingSpec& spec, const std::string& flag,
-                    const FlagValue& value) {
-  if (flag == "--alpha") {
-    spec.fid.alpha = knob_double(flag, value());
-  } else if (flag == "--beta") {
-    spec.fid.beta = knob_double(flag, value());
-  } else if (flag == "--gamma") {
-    spec.fid.gamma = knob_double(flag, value());
-  } else {
-    return false;
-  }
-  if (spec.fid.beta < 0.0 || spec.fid.gamma < 0.0) {
-    throw UsageError(flag + " must be >= 0");
-  }
-  return true;
-}
-
 }  // namespace
 
 namespace detail {
@@ -203,31 +155,27 @@ void register_builtin_routers(RouterRegistry& registry) {
        "contextual duration-aware remapper (the paper's router, DAC 2020)",
        [](const arch::Device& d, const RoutingSpec& s) {
          return std::unique_ptr<RoutingPass>(new CodarPass(d, s));
-       },
-       parse_codar_flag});
+       }});
   registry.add(
       {"codar-fid",
        "codar with fidelity-aware SWAP scoring "
        "(alpha*distance + beta*log-fidelity + gamma*decoherence)",
        [](const arch::Device& d, const RoutingSpec& s) {
          return std::unique_ptr<RoutingPass>(new CodarFidPass(d, s));
-       },
-       parse_fid_flag});
+       }});
   registry.add(
       {"sabre",
        "SWAP-based bidirectional heuristic baseline (ASPLOS 2019), "
        "duration-blind",
        [](const arch::Device& d, const RoutingSpec& s) {
          return std::unique_ptr<RoutingPass>(new SabrePass(d, s));
-       },
-       nullptr});
+       }});
   registry.add(
       {"astar",
        "layered A*-search baseline (TCAD 2019), duration-blind",
        [](const arch::Device& d, const RoutingSpec& s) {
          return std::unique_ptr<RoutingPass>(new AstarPass(d, s));
-       },
-       nullptr});
+       }});
 }
 
 }  // namespace detail

@@ -9,7 +9,9 @@
 //
 // Route requests carry either inline OpenQASM (`qasm`) or the name of a
 // built-in suite benchmark (`suite_name`), plus optional device/router
-// selection and an `options` object mirroring the CLI's routing knobs.
+// selection and an `options` object: one key per row of
+// pipeline::routing_knobs() (the table the CLI's knob flags come from),
+// plus "extras" for the knobs of externally registered passes.
 // `device` is either a registry spec string ("tokyo", "grid:4x5") or an
 // inline JSON device description object (the `--device file:` schema —
 // see codar/arch/device_json.hpp), so clients can route against

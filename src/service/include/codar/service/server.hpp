@@ -97,7 +97,8 @@ std::unique_ptr<ServerHandle> start_serve(const ServeOptions& opts);
 /// Runs the service until EOF on `in` (stdio transport) or until
 /// SIGTERM/SIGINT (socket transports; `in`/`out` are unused then), writing
 /// NDJSON responses to the transport and human-readable startup/shutdown
-/// notes to `err`. Returns the process exit code.
+/// notes to `err`. Returns the process exit code: 2 on a startup error,
+/// and on stdio when `out` failed a write (responses were lost).
 int run_serve(const ServeOptions& opts, std::istream& in, std::ostream& out,
               std::ostream& err);
 

@@ -1,7 +1,7 @@
 #include "codar/service/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -24,113 +24,66 @@ const std::string& require_string(const common::Json& v, const char* key) {
   return v.as_string();
 }
 
-bool require_bool(const common::Json& v, const char* key) {
-  if (!v.is_bool()) bad(std::string("'") + key + "' must be a boolean");
-  return v.as_bool();
-}
-
-long long require_int(const common::Json& v, const char* key) {
-  if (!v.is_number()) bad(std::string("'") + key + "' must be an integer");
-  const double d = v.as_number();
-  if (d != std::floor(d) || std::abs(d) > 9.0e15) {
-    bad(std::string("'") + key + "' must be an integer");
+/// Sets the knob-table row whose serve key is `key` from a JSON value.
+/// Converts only the JSON syntax; the row checks the bound.
+void set_option(pipeline::RoutingSpec& opts, const std::string& key,
+                const common::Json& v) {
+  using pipeline::RoutingKnob;
+  using Kind = RoutingKnob::Kind;
+  const auto knobs = pipeline::routing_knobs();
+  const auto knob = std::find_if(
+      knobs.begin(), knobs.end(),
+      [&](const RoutingKnob& k) { return key == k.key; });
+  if (knob == knobs.end()) bad("unknown option '" + key + "'");
+  const std::string name = "'" + key + "'";
+  RoutingKnob::Value value;
+  switch (knob->kind) {
+    case Kind::kOn:
+    case Kind::kOff:
+      if (!v.is_bool()) bad(name + " must be a boolean");
+      value = v.as_bool();
+      break;
+    case Kind::kInt:
+    case Kind::kSeed: {
+      // JSON numbers are doubles: take the integral ones that convert
+      // exactly.
+      if (!v.is_number()) bad(name + " must be an integer");
+      const double d = v.as_number();
+      if (d != std::floor(d) || std::abs(d) > 9.0e15) {
+        bad(name + " must be an integer");
+      }
+      value = static_cast<long long>(d);
+      break;
+    }
+    case Kind::kNumber:
+      if (!v.is_number()) bad(name + " must be a number");
+      value = v.as_number();
+      break;
+    case Kind::kMapping:
+      value = require_string(v, key.c_str());
+      break;
   }
-  return static_cast<long long>(d);
-}
-
-/// An integer option that must be at least `min` and fit an int.
-int require_int_at_least(const common::Json& v, const char* key, int min) {
-  const long long n = require_int(v, key);
-  if (n < min) {
-    bad(std::string("'") + key + "' must be >= " + std::to_string(min));
-  }
-  if (n > std::numeric_limits<int>::max()) {
-    bad(std::string("'") + key + "' is out of range");
-  }
-  return static_cast<int>(n);
-}
-
-double require_finite(const common::Json& v, const char* key) {
-  if (!v.is_number()) bad(std::string("'") + key + "' must be a number");
-  const double d = v.as_number();
-  if (!std::isfinite(d)) {
-    bad(std::string("'") + key + "' must be a finite number");
-  }
-  return d;
-}
-
-/// Resolves a router/mapping name against its registry, rewrapping the
-/// registry's UsageError (which lists the registered names) as a
-/// ProtocolError.
-template <typename Registry>
-const std::string& registered_name(const Registry& registry,
-                                   const std::string& name) {
   try {
-    return registry.at(name).name;
+    knob->set(opts, value, name);
   } catch (const pipeline::UsageError& e) {
     throw ProtocolError(e.what());
   }
 }
 
-/// Applies one member of the request's "options" object. Mirrors the CLI
-/// flags one-to-one; key names use underscores.
-void apply_option(pipeline::RoutingSpec& opts, const std::string& key,
-                  const common::Json& v) {
-  if (key == "initial") {
-    opts.mapping = registered_name(pipeline::MappingRegistry::instance(),
-                                   require_string(v, "initial"));
-  } else if (key == "seed") {
-    opts.seed = static_cast<std::uint64_t>(require_int(v, "seed"));
-  } else if (key == "mapping_rounds") {
-    opts.mapping_rounds = require_int_at_least(v, "mapping_rounds", 1);
-  } else if (key == "mapping_horizon") {
-    opts.mapping_horizon = require_int_at_least(v, "mapping_horizon", 0);
-  } else if (key == "peephole") {
-    opts.peephole = require_bool(v, "peephole");
-  } else if (key == "verify") {
-    opts.verify = require_bool(v, "verify");
-  } else if (key == "timing") {
-    opts.timing = require_bool(v, "timing");
-  } else if (key == "context") {
-    opts.codar.context_aware = require_bool(v, "context");
-  } else if (key == "duration") {
-    opts.codar.duration_aware = require_bool(v, "duration");
-  } else if (key == "commutativity") {
-    opts.codar.commutativity_aware = require_bool(v, "commutativity");
-  } else if (key == "fine_priority") {
-    opts.codar.fine_priority = require_bool(v, "fine_priority");
-  } else if (key == "window") {
-    // Any int; <= 0 means unbounded.
-    opts.codar.front_window =
-        require_int_at_least(v, "window", std::numeric_limits<int>::min());
-  } else if (key == "stagnation") {
-    opts.codar.stagnation_threshold =
-        require_int_at_least(v, "stagnation", 1);
-  } else if (key == "alpha") {
-    opts.fid.alpha = require_finite(v, "alpha");
-  } else if (key == "beta") {
-    opts.fid.beta = require_finite(v, "beta");
-    if (opts.fid.beta < 0.0) bad("'beta' must be >= 0");
-  } else if (key == "gamma") {
-    opts.fid.gamma = require_finite(v, "gamma");
-    if (opts.fid.gamma < 0.0) bad("'gamma' must be >= 0");
-  } else if (key == "extras") {
-    // Free-form knobs for externally registered passes, mirroring the
-    // CLI's --set KEY=VALUE (see RoutingSpec::extras). String values
-    // only, so the fingerprinted representation is unambiguous. The
-    // request's object *replaces* the serve-line defaults wholesale —
-    // per-key merging would leave no way to unset a default knob.
-    // Sorted through a map, not by set_extra per key (quadratic in the
-    // key count); as with set_extra, a repeated key keeps its last value.
-    if (!v.is_object()) bad("'extras' must be an object");
-    std::map<std::string, std::string> extras;
-    for (const auto& [k, member] : v.members()) {
-      extras[k] = require_string(member, "extras value");
-    }
-    opts.extras.assign(extras.begin(), extras.end());
-  } else {
-    bad("unknown option '" + key + "'");
+/// The "extras" option: free-form knobs for externally registered passes,
+/// mirroring the CLI's --set KEY=VALUE (see RoutingSpec::extras). String
+/// values only, so the fingerprinted representation is unambiguous. The
+/// request's object *replaces* the serve-line defaults wholesale —
+/// per-key merging would leave no way to unset a default knob. Sorted
+/// through a map, not by set_extra per key (quadratic in the key count);
+/// as with set_extra, a repeated key keeps its last value.
+void set_extras(pipeline::RoutingSpec& opts, const common::Json& v) {
+  if (!v.is_object()) bad("'extras' must be an object");
+  std::map<std::string, std::string> extras;
+  for (const auto& [k, member] : v.members()) {
+    extras[k] = require_string(member, "extras value");
   }
+  opts.extras.assign(extras.begin(), extras.end());
 }
 
 }  // namespace
@@ -232,13 +185,21 @@ ServeRequest parse_request(const std::string& line,
     }
   }
   if (const common::Json* router = doc.find("router")) {
-    req.opts.router = registered_name(pipeline::RouterRegistry::instance(),
-                                      require_string(*router, "router"));
+    const std::string& name = require_string(*router, "router");
+    try {
+      req.opts.router = pipeline::RouterRegistry::instance().at(name).name;
+    } catch (const pipeline::UsageError& e) {
+      throw ProtocolError(e.what());  // lists the registered names
+    }
   }
   if (const common::Json* options = doc.find("options")) {
     if (!options->is_object()) bad("'options' must be an object");
     for (const auto& [key, value] : options->members()) {
-      apply_option(req.opts, key, value);
+      if (key == "extras") {
+        set_extras(req.opts, value);
+      } else {
+        set_option(req.opts, key, value);
+      }
     }
   }
   return req;

@@ -39,12 +39,14 @@ const RouteCache::Shard& RouteCache::shard_for(const CacheKey& key) const {
 }
 
 std::size_t RouteCache::report_bytes(const pipeline::RouteReport& report) {
-  std::size_t bytes = sizeof(pipeline::RouteReport) +
-                      report.name.capacity() + report.error.capacity() +
-                      report.routed_qasm.capacity();
-  bytes += report.stage_us.capacity() * sizeof(pipeline::StageTiming);
+  // Sizes, not capacities: a routed report grows its vectors by push_back
+  // while a decoded one reserves them exactly, and the same report must
+  // count the same bytes however it arrived.
+  std::size_t bytes = sizeof(pipeline::RouteReport) + report.name.size() +
+                      report.error.size() + report.routed_qasm.size();
+  bytes += report.stage_us.size() * sizeof(pipeline::StageTiming);
   for (const pipeline::StageTiming& t : report.stage_us) {
-    bytes += t.stage.capacity();
+    bytes += t.stage.size();
   }
   return bytes;
 }

@@ -799,6 +799,12 @@ int run_serve(const ServeOptions& opts, std::istream& in, std::ostream& out,
     err << "error: " << e.what() << "\n";
     return 2;
   }
+  // A failed write drops the connection's responses silently; the exit
+  // code is where that loss shows.
+  if (!out.flush()) {
+    err << "error: cannot write stdout\n";
+    return 2;
+  }
   return 0;
 }
 

@@ -10,17 +10,6 @@
 namespace codar::arch {
 namespace {
 
-/// Restores the process-wide default policy on scope exit, so tests that
-/// override it cannot leak into later tests.
-class DefaultPolicyGuard {
- public:
-  DefaultPolicyGuard() : saved_(default_distance_policy()) {}
-  ~DefaultPolicyGuard() { set_default_distance_policy(saved_); }
-
- private:
-  DistancePolicy saved_;
-};
-
 /// Random connected graph: a random spanning tree plus `extra_edges`
 /// random chords. Deterministic for a fixed seed.
 CouplingGraph random_connected(int n, int extra_edges, std::uint64_t seed) {
@@ -86,55 +75,6 @@ TEST(DistanceOracle, DenseAndOnDemandAgreeOnDisconnectedGraphs) {
     // Cross-component pairs really are infinite, both ways.
     EXPECT_EQ(dense.distance(0, 39), kInfDistance);
     EXPECT_EQ(on_demand.distance(39, 0), kInfDistance);
-  }
-}
-
-TEST(DistanceOracle, LandmarkModeStaysExactForDistance) {
-  const CouplingGraph g = random_connected(80, 50, 7);
-  const DenseDistanceOracle dense(g);
-  OnDemandDistanceOracle::Config config;
-  config.num_landmarks = 4;
-  const OnDemandDistanceOracle landmark(g, config);
-  EXPECT_STREQ(landmark.name(), "landmark");
-  EXPECT_EQ(landmark.num_landmarks(), 4);
-  expect_all_pairs_equal(g, dense, landmark);
-}
-
-TEST(DistanceOracle, LandmarkLowerBoundIsAdmissible) {
-  const CouplingGraph g = random_connected(50, 30, 11);
-  OnDemandDistanceOracle::Config config;
-  config.num_landmarks = 6;
-  const OnDemandDistanceOracle oracle(g, config);
-  for (Qubit a = 0; a < g.num_qubits(); ++a) {
-    for (Qubit b = 0; b < g.num_qubits(); ++b) {
-      const int bound = oracle.lower_bound(a, b);
-      EXPECT_GE(bound, 0);
-      EXPECT_LE(bound, oracle.distance(a, b))
-          << "inadmissible bound at (" << a << ", " << b << ")";
-    }
-  }
-}
-
-TEST(DistanceOracle, LandmarkLowerBoundExactOnDisconnectedPairs) {
-  const CouplingGraph g = random_disconnected(12, 8, 3);
-  OnDemandDistanceOracle::Config config;
-  config.num_landmarks = 4;
-  const OnDemandDistanceOracle oracle(g, config);
-  // A landmark sits in one component; the other side is unreachable from
-  // it, and exactly-one-infinite must collapse to the exact answer.
-  EXPECT_EQ(oracle.lower_bound(0, 19), kInfDistance);
-  EXPECT_EQ(oracle.lower_bound(19, 0), kInfDistance);
-  // Same-component bounds stay finite and admissible.
-  EXPECT_LE(oracle.lower_bound(0, 11), oracle.distance(0, 11));
-}
-
-TEST(DistanceOracle, WithoutLandmarksLowerBoundIsExact) {
-  const CouplingGraph g = random_connected(30, 10, 13);
-  const OnDemandDistanceOracle oracle(g);
-  EXPECT_STREQ(oracle.name(), "on-demand");
-  EXPECT_EQ(oracle.num_landmarks(), 0);
-  for (Qubit a = 0; a < g.num_qubits(); ++a) {
-    EXPECT_EQ(oracle.lower_bound(a, 0), oracle.distance(a, 0));
   }
 }
 
@@ -211,23 +151,12 @@ TEST(DistanceOracle, FootprintsReflectTheBackend) {
   EXPECT_LT(on_demand.footprint_bytes(), dense.footprint_bytes());
 }
 
-TEST(DistanceOracle, ParsePolicyAcceptsTheFourModes) {
-  EXPECT_EQ(parse_distance_policy("auto"), DistancePolicy::kAuto);
-  EXPECT_EQ(parse_distance_policy("dense"), DistancePolicy::kDense);
-  EXPECT_EQ(parse_distance_policy("on-demand"), DistancePolicy::kOnDemand);
-  EXPECT_EQ(parse_distance_policy("landmark"), DistancePolicy::kLandmark);
-  EXPECT_THROW(parse_distance_policy("magic"), std::invalid_argument);
-  EXPECT_THROW(parse_distance_policy(""), std::invalid_argument);
-}
-
 TEST(DistanceOracle, MakeOracleResolvesPolicies) {
   const CouplingGraph small = random_connected(10, 4, 37);
   EXPECT_STREQ(
       make_distance_oracle(small, DistancePolicy::kDense)->name(), "dense");
   EXPECT_STREQ(make_distance_oracle(small, DistancePolicy::kOnDemand)->name(),
                "on-demand");
-  EXPECT_STREQ(make_distance_oracle(small, DistancePolicy::kLandmark)->name(),
-               "landmark");
   // kAuto: dense below the threshold...
   EXPECT_STREQ(
       make_distance_oracle(small, DistancePolicy::kAuto)->name(), "dense");
@@ -236,20 +165,6 @@ TEST(DistanceOracle, MakeOracleResolvesPolicies) {
   for (int v = 1; v < big.num_qubits(); ++v) big.add_edge(v - 1, v);
   EXPECT_STREQ(
       make_distance_oracle(big, DistancePolicy::kAuto)->name(), "on-demand");
-}
-
-TEST(DistanceOracle, InheritFollowsTheProcessDefault) {
-  const DefaultPolicyGuard guard;
-  const CouplingGraph g = random_connected(10, 4, 41);
-  set_default_distance_policy(DistancePolicy::kOnDemand);
-  EXPECT_STREQ(make_distance_oracle(g, DistancePolicy::kInherit)->name(),
-               "on-demand");
-  set_default_distance_policy(DistancePolicy::kAuto);
-  EXPECT_STREQ(
-      make_distance_oracle(g, DistancePolicy::kInherit)->name(), "dense");
-  // Setting kInherit as the default is normalized back to kAuto.
-  set_default_distance_policy(DistancePolicy::kInherit);
-  EXPECT_EQ(default_distance_policy(), DistancePolicy::kAuto);
 }
 
 TEST(CouplingGraphOracle, PrepareIsIdempotentAndPinsTheBackend) {
@@ -284,10 +199,6 @@ TEST(CouplingGraphOracle, PerGraphPolicySelectsTheBackend) {
 
   g.set_distance_policy(DistancePolicy::kOnDemand);
   EXPECT_STREQ(g.oracle().name(), "on-demand");
-  EXPECT_EQ(g.distance(0, 11), reference);
-
-  g.set_distance_policy(DistancePolicy::kLandmark);
-  EXPECT_STREQ(g.oracle().name(), "landmark");
   EXPECT_EQ(g.distance(0, 11), reference);
 
   g.set_distance_policy(DistancePolicy::kDense);

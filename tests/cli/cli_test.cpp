@@ -2,18 +2,23 @@
 // the device registry, end-to-end QASM-in → verified-QASM-out, and batch
 // determinism across thread counts.
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "codar/cli/driver.hpp"
 #include "codar/cli/options.hpp"
+#include "codar/common/json.hpp"
 #include "codar/ir/decompose.hpp"
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/qasm/parser.hpp"
 #include "codar/qasm/writer.hpp"
+#include "codar/service/protocol.hpp"
 #include "codar/workloads/generators.hpp"
 
 namespace codar::cli {
@@ -116,6 +121,118 @@ TEST(CliOptions, ListRoutersAndMappingsFlags) {
   EXPECT_EQ(run_cli({"--list-mappings"}, in, out2, err), 0) << err.str();
   for (const char* name : {"identity", "greedy", "sabre"}) {
     EXPECT_NE(out2.str().find(name), std::string::npos) << out2.str();
+  }
+}
+
+// -- The knob table: the same knobs and bounds on both front ends -----------
+
+/// One knob value in both front ends' syntax: the argv words (empty when
+/// the command line cannot spell it) and the JSON token of the option.
+struct KnobInput {
+  std::vector<std::string> argv;
+  std::string json;
+};
+
+/// The least value a kInt knob takes: its min, or else the least int.
+long long int_floor(const pipeline::RoutingKnob& knob) {
+  return static_cast<long long>(
+      std::max(knob.min, double{std::numeric_limits<int>::min()}));
+}
+
+/// A valid value for `knob`, away from its default.
+KnobInput valid_input(const pipeline::RoutingKnob& knob) {
+  using Kind = pipeline::RoutingKnob::Kind;
+  switch (knob.kind) {
+    case Kind::kOn:
+      return {{knob.flag}, "true"};
+    case Kind::kOff:
+      return {{knob.flag}, "false"};
+    case Kind::kInt: {
+      const std::string n = std::to_string(int_floor(knob) + 7);
+      return {{knob.flag, n}, n};
+    }
+    case Kind::kSeed:
+      return {{knob.flag, "3"}, "3"};
+    case Kind::kNumber: {
+      const double low = std::isfinite(knob.min) ? knob.min : 0.0;
+      const std::string x = common::json_number(low + 1.25);
+      return {{knob.flag, x}, x};
+    }
+    case Kind::kMapping:
+      return {{knob.flag, "greedy"}, "\"greedy\""};
+  }
+  return {};
+}
+
+/// Values just past `knob`'s bound (a switch has none: serve still refuses
+/// a non-boolean).
+std::vector<KnobInput> invalid_inputs(const pipeline::RoutingKnob& knob) {
+  using Kind = pipeline::RoutingKnob::Kind;
+  switch (knob.kind) {
+    case Kind::kOn:
+    case Kind::kOff:
+      return {{{}, "1"}};
+    case Kind::kInt: {
+      const std::string low = std::to_string(int_floor(knob) - 1);
+      const std::string high =
+          std::to_string(std::numeric_limits<int>::max() + 1LL);
+      return {{{knob.flag, low}, low}, {{knob.flag, high}, high}};
+    }
+    case Kind::kSeed:
+      return {{{knob.flag, "1.5"}, "1.5"}};
+    case Kind::kNumber: {
+      std::vector<KnobInput> past = {{{knob.flag, "inf"}, "1e999"}};
+      if (std::isfinite(knob.min)) {
+        const std::string x = common::json_number(knob.min - 0.5);
+        past.push_back({{knob.flag, x}, x});
+      }
+      return past;
+    }
+    case Kind::kMapping:
+      return {{{knob.flag, "annealed"}, "\"annealed\""}};
+  }
+  return {};
+}
+
+std::string request_with(const std::string& key, const std::string& json) {
+  return R"({"suite_name": "ghz_3", "options": {")" + key + "\": " + json +
+         "}}";
+}
+
+Options parse_with_input(std::vector<std::string> argv) {
+  argv.push_back("a.qasm");
+  return parse_args(argv);
+}
+
+TEST(KnobTable, BothFrontEndsAcceptTheSameKnobsAndBounds) {
+  const pipeline::RoutingSpec defaults;
+  ASSERT_FALSE(pipeline::routing_knobs().empty());
+  for (const pipeline::RoutingKnob& knob : pipeline::routing_knobs()) {
+    SCOPED_TRACE(std::string(knob.key) + " / " + knob.flag);
+    EXPECT_NE(usage().find(knob.flag), std::string::npos);
+
+    const KnobInput valid = valid_input(knob);
+    const Options cli = parse_with_input(valid.argv);
+    const service::ServeRequest request = service::parse_request(
+        request_with(knob.key, valid.json), defaults);
+    EXPECT_EQ(service::options_fingerprint(cli),
+              service::options_fingerprint(request.opts));
+    EXPECT_EQ(cli.timing, request.opts.timing);
+    // The value took effect: it keys the route cache, or it is the one
+    // presentation knob.
+    EXPECT_TRUE(service::options_fingerprint(cli) !=
+                    service::options_fingerprint(defaults) ||
+                cli.timing != defaults.timing);
+
+    for (const KnobInput& past : invalid_inputs(knob)) {
+      SCOPED_TRACE(past.json);
+      if (!past.argv.empty()) {
+        EXPECT_THROW(parse_with_input(past.argv), UsageError);
+      }
+      EXPECT_THROW(
+          service::parse_request(request_with(knob.key, past.json), defaults),
+          service::ProtocolError);
+    }
   }
 }
 
@@ -305,6 +422,51 @@ TEST(CliDriver, LostOutputIsAWriteError) {
   std::ostream lost(nullptr);
   std::ostringstream err;
   EXPECT_EQ(run_cli({input.string(), "--device", "tokyo"}, in, lost, err), 2);
+  EXPECT_NE(err.str().find("error: cannot write stdout"), std::string::npos)
+      << err.str();
+}
+
+/// Runs `args` with a stdout that takes no bytes; returns the exit code
+/// and checks that the loss was reported.
+int run_with_lost_stdout(const std::vector<std::string>& args) {
+  std::istringstream in;
+  std::ostream lost(nullptr);
+  std::ostringstream err;
+  const int code = run_cli(args, in, lost, err);
+  EXPECT_NE(err.str().find("error: cannot write stdout"), std::string::npos)
+      << err.str();
+  return code;
+}
+
+TEST(CliDriver, LostDeviceListIsAWriteError) {
+  EXPECT_EQ(run_with_lost_stdout({"--list-devices"}), 2);
+}
+
+TEST(CliDriver, LostRouterListIsAWriteError) {
+  EXPECT_EQ(run_with_lost_stdout({"--list-routers"}), 2);
+}
+
+TEST(CliDriver, LostMappingListIsAWriteError) {
+  EXPECT_EQ(run_with_lost_stdout({"--list-mappings"}), 2);
+}
+
+TEST(CliDriver, LostDeviceDescriptionIsAWriteError) {
+  EXPECT_EQ(run_with_lost_stdout({"--describe-device", "tokyo"}), 2);
+}
+
+TEST(CliDriver, LostHelpIsAWriteError) {
+  EXPECT_EQ(run_with_lost_stdout({"--help"}), 2);
+}
+
+TEST(CliDriver, LostServeHelpIsAWriteError) {
+  EXPECT_EQ(run_with_lost_stdout({"serve", "--help"}), 2);
+}
+
+TEST(CliDriver, LostServeResponsesAreAWriteError) {
+  std::istringstream in(R"({"id": 1, "suite_name": "ghz_3"})" "\n");
+  std::ostream lost(nullptr);
+  std::ostringstream err;
+  EXPECT_EQ(run_cli({"serve"}, in, lost, err), 2);
   EXPECT_NE(err.str().find("error: cannot write stdout"), std::string::npos)
       << err.str();
 }

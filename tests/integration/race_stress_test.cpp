@@ -191,8 +191,7 @@ TEST(RaceStress, SharedRowLruServesGraphCopiesUnderEvictionChurn) {
   const int n = base.num_qubits();
 
   const arch::OnDemandDistanceOracle::Config config{
-      /*row_cache_bytes=*/4 * static_cast<std::size_t>(n) * sizeof(int),
-      /*num_landmarks=*/4};
+      /*row_cache_bytes=*/4 * static_cast<std::size_t>(n) * sizeof(int)};
   const arch::OnDemandDistanceOracle oracle(base, config);
 
   run_threads(8, [&](int t) {
@@ -203,9 +202,6 @@ TEST(RaceStress, SharedRowLruServesGraphCopiesUnderEvictionChurn) {
           expected[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
                    static_cast<std::size_t>(b)];
       ASSERT_EQ(oracle.distance(a, b), exact) << a << "," << b;
-      // The landmark table is read lock-free; its bound must stay
-      // admissible while the row cache churns.
-      ASSERT_LE(oracle.lower_bound(a, b), exact) << a << "," << b;
     }
   });
 

@@ -1,7 +1,7 @@
 // Tests for the string-keyed pass registries: the built-in entries, the
-// lookup error contract (unknown names list the registered ones), the
-// knob-parsing hooks that replaced parse_routing_flag's per-pass plumbing,
-// and registration validation.
+// lookup error contract (unknown names list the registered ones), the CLI
+// entry of the routing-knob table (set_knob_flag), and registration
+// validation.
 
 #include <limits>
 
@@ -61,8 +61,7 @@ TEST(PassRegistry, RejectsDuplicateAndIncompleteEntries) {
   RouterEntry entry{"mine", "a test router",
                     [](const arch::Device&, const RoutingSpec&) {
                       return std::unique_ptr<RoutingPass>();
-                    },
-                    nullptr};
+                    }};
   local.add(entry);
   EXPECT_THROW(local.add(entry), std::logic_error);  // duplicate name
   RouterEntry nameless = entry;
@@ -76,76 +75,72 @@ TEST(PassRegistry, RejectsDuplicateAndIncompleteEntries) {
 
 TEST(PassRegistry, RouterKnobHooksParseCodarFlags) {
   RoutingSpec spec;
-  const RouterRegistry& reg = RouterRegistry::instance();
   auto no_value = []() -> std::string {
     throw UsageError("flag expects a value");
   };
-  EXPECT_TRUE(reg.parse_knob(spec, "--no-context", no_value));
+  EXPECT_TRUE(set_knob_flag(spec, "--no-context", no_value));
   EXPECT_FALSE(spec.codar.context_aware);
-  EXPECT_TRUE(reg.parse_knob(spec, "--window", [] { return "25"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--window", [] { return "25"; }));
   EXPECT_EQ(spec.codar.front_window, 25);
-  EXPECT_TRUE(reg.parse_knob(spec, "--stagnation", [] { return "7"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--stagnation", [] { return "7"; }));
   EXPECT_EQ(spec.codar.stagnation_threshold, 7);
   // Malformed / out-of-range values throw the shared UsageError.
-  EXPECT_THROW(reg.parse_knob(spec, "--window", [] { return "wide"; }),
+  EXPECT_THROW(set_knob_flag(spec, "--window", [] { return "wide"; }),
                UsageError);
-  EXPECT_THROW(reg.parse_knob(spec, "--stagnation", [] { return "0"; }),
+  EXPECT_THROW(set_knob_flag(spec, "--stagnation", [] { return "0"; }),
                UsageError);
-  // Flags no pass owns are left for the caller.
-  EXPECT_FALSE(reg.parse_knob(spec, "--batch", no_value));
+  // Flags with no row in the knob table are left for the caller.
+  EXPECT_FALSE(set_knob_flag(spec, "--batch", no_value));
 }
 
 TEST(PassRegistry, RouterKnobHooksRejectValuesOutsideInt) {
   // Each of these used to wrap to an int: 4294967297 routed as window 1,
   // 2147483648 as an unbounded window, 4294967298 as stagnation 2.
   RoutingSpec spec;
-  const RouterRegistry& reg = RouterRegistry::instance();
   for (const char* bad : {"4294967297", "2147483648", "-2147483649"}) {
-    EXPECT_THROW(reg.parse_knob(spec, "--window", [bad] { return bad; }),
+    EXPECT_THROW(set_knob_flag(spec, "--window", [bad] { return bad; }),
                  UsageError)
         << bad;
   }
   EXPECT_THROW(
-      reg.parse_knob(spec, "--stagnation", [] { return "4294967298"; }),
+      set_knob_flag(spec, "--stagnation", [] { return "4294967298"; }),
       UsageError);
   EXPECT_EQ(spec.codar.front_window, RoutingSpec{}.codar.front_window);
   EXPECT_EQ(spec.codar.stagnation_threshold,
             RoutingSpec{}.codar.stagnation_threshold);
   // The window takes any int; <= 0 means unbounded.
-  EXPECT_TRUE(reg.parse_knob(spec, "--window", [] { return "-2147483648"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--window", [] { return "-2147483648"; }));
   EXPECT_EQ(spec.codar.front_window, std::numeric_limits<int>::min());
-  EXPECT_TRUE(reg.parse_knob(spec, "--window", [] { return "2147483647"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--window", [] { return "2147483647"; }));
   EXPECT_EQ(spec.codar.front_window, std::numeric_limits<int>::max());
 }
 
 TEST(PassRegistry, RouterKnobHooksParseFidWeights) {
   RoutingSpec spec;
-  const RouterRegistry& reg = RouterRegistry::instance();
-  EXPECT_TRUE(reg.parse_knob(spec, "--alpha", [] { return "1.5"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--alpha", [] { return "1.5"; }));
   EXPECT_EQ(spec.fid.alpha, 1.5);
-  EXPECT_TRUE(reg.parse_knob(spec, "--beta", [] { return "0"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--beta", [] { return "0"; }));
   EXPECT_EQ(spec.fid.beta, 0.0);
-  EXPECT_TRUE(reg.parse_knob(spec, "--gamma", [] { return "2.25"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--gamma", [] { return "2.25"; }));
   EXPECT_EQ(spec.fid.gamma, 2.25);
-  EXPECT_THROW(reg.parse_knob(spec, "--beta", [] { return "steep"; }),
+  EXPECT_THROW(set_knob_flag(spec, "--beta", [] { return "steep"; }),
                UsageError);
-  EXPECT_THROW(reg.parse_knob(spec, "--beta", [] { return "inf"; }),
+  EXPECT_THROW(set_knob_flag(spec, "--beta", [] { return "inf"; }),
                UsageError);
-  EXPECT_THROW(reg.parse_knob(spec, "--gamma", [] { return "-1"; }),
+  EXPECT_THROW(set_knob_flag(spec, "--gamma", [] { return "-1"; }),
                UsageError);
 }
 
 TEST(PassRegistry, MappingKnobHooksParseSeedAndRounds) {
   RoutingSpec spec;
-  const MappingRegistry& reg = MappingRegistry::instance();
-  EXPECT_TRUE(reg.parse_knob(spec, "--seed", [] { return "99"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--seed", [] { return "99"; }));
   EXPECT_EQ(spec.seed, 99u);
-  EXPECT_TRUE(reg.parse_knob(spec, "--mapping-rounds", [] { return "5"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--mapping-rounds", [] { return "5"; }));
   EXPECT_EQ(spec.mapping_rounds, 5);
   // Zero rounds would fail inside every route: a usage error instead.
   for (const char* bad : {"-1", "0", "2.5", "4294967297"}) {
     EXPECT_THROW(
-        reg.parse_knob(spec, "--mapping-rounds", [bad] { return bad; }),
+        set_knob_flag(spec, "--mapping-rounds", [bad] { return bad; }),
         UsageError)
         << bad;
   }
@@ -155,20 +150,20 @@ TEST(PassRegistry, MappingKnobHooksParseSeedAndRounds) {
 TEST(PassRegistry, MappingKnobHookParsesHorizon) {
   RoutingSpec spec;
   EXPECT_GT(spec.mapping_horizon, 0);  // bounded by default
-  const MappingRegistry& reg = MappingRegistry::instance();
   EXPECT_TRUE(
-      reg.parse_knob(spec, "--mapping-horizon", [] { return "250"; }));
+      set_knob_flag(spec, "--mapping-horizon", [] { return "250"; }));
   EXPECT_EQ(spec.mapping_horizon, 250);
-  EXPECT_TRUE(reg.parse_knob(spec, "--mapping-horizon", [] { return "0"; }));
+  EXPECT_TRUE(set_knob_flag(spec, "--mapping-horizon", [] { return "0"; }));
   EXPECT_EQ(spec.mapping_horizon, 0);
   for (const char* bad : {"-1", "1.5", "many", "", "4294967296"}) {
     EXPECT_THROW(
-        reg.parse_knob(spec, "--mapping-horizon", [bad] { return bad; }),
+        set_knob_flag(spec, "--mapping-horizon", [bad] { return bad; }),
         UsageError)
         << bad;
   }
   EXPECT_EQ(spec.mapping_horizon, 0);
-  const std::unique_ptr<MappingPass> pass = reg.at("sabre").make(spec);
+  const std::unique_ptr<MappingPass> pass =
+      MappingRegistry::instance().at("sabre").make(spec);
   EXPECT_NE(pass->describe_config().find("horizon=0"), std::string::npos);
 }
 

@@ -14,8 +14,10 @@
 
 #include "codar/arch/device.hpp"
 #include "codar/cli/options.hpp"
+#include "codar/pipeline/pipeline.hpp"
 #include "codar/service/protocol.hpp"
 #include "codar/store/report_codec.hpp"
+#include "codar/workloads/generators.hpp"
 
 namespace codar::service {
 namespace {
@@ -154,6 +156,22 @@ TEST(RouteCache, TimingAndPathsDoNotChangeOptionsFingerprint) {
   timed.device = "enfield";  // the device is keyed by its content
   timed.stats_path = "/tmp/x.json";
   EXPECT_EQ(options_fingerprint(base), options_fingerprint(timed));
+}
+
+TEST(RouteCache, DecodedReportCountsTheSameBytesAsRouted) {
+  // A routed report grows its stage timings by push_back, a decoded one
+  // reserves them exactly; the byte budget must not tell them apart, or
+  // which entries a tight budget evicts would depend on the tier they
+  // came from.
+  const RouteReport routed = pipeline::route_circuit(
+      workloads::qft(8), arch::ibm_q20_tokyo(), pipeline::RoutingSpec{},
+      /*keep_qasm=*/true);
+  ASSERT_TRUE(routed.ok()) << routed.error;
+  ASSERT_FALSE(routed.stage_us.empty());
+  RouteReport decoded;
+  ASSERT_TRUE(store::decode_report(store::encode_report(routed), &decoded));
+  EXPECT_EQ(RouteCache::report_bytes(decoded),
+            RouteCache::report_bytes(routed));
 }
 
 TEST(RouteCache, LruEvictionUnderByteBudget) {
