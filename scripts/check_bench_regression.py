@@ -1,34 +1,23 @@
 #!/usr/bin/env python3
-"""Bench regression gate: diff fresh bench runs against their committed
-baselines and fail on any routing-quality drift.
+"""Bench regression gate: diff a fresh bench run against its committed
+baseline and fail on any routing-quality drift.
 
 Usage:
-    check_bench_regression.py [--allow-missing-baseline] \
-                              BASELINE.json CANDIDATE.json \
-                              [BASELINE2.json CANDIDATE2.json ...]
+    check_bench_regression.py BASELINE.json CANDIDATE.json
 
-Arguments are baseline/candidate pairs, so one invocation can gate
-BENCH_paper.json (the paper's figures, the fidelity-aware comparison and
-the scaling sweep) and BENCH_serve.json (the socket-serve load mixes).
-Each baseline names its gated fields in a top-level "gated_fields"
-array; a baseline without one is malformed. Gated fields are
-deterministic by construction, so ANY difference is a regression (or an
-improvement that must be committed deliberately by refreshing the
-baseline). Wall time, throughput and latency percentiles are
-machine-dependent and stay informational: printed, never gating.
-
---allow-missing-baseline is the bootstrap mode for brand-new benches: a
-pair whose baseline file does not exist yet warns and passes, so CI can
-land the bench binary and its first committed baseline in one PR without
-a chicken-and-egg failure. A baseline that exists but is unreadable or
-malformed still fails hard.
+The pair is BENCH_paper.json (the paper's figures, the fidelity-aware
+comparison and the scaling sweep) and a fresh bench_paper run. The
+baseline names its gated fields in a top-level "gated_fields" array; a
+baseline without one is malformed. Gated fields are deterministic by
+construction, so ANY difference is a regression (or an improvement that
+must be committed deliberately by refreshing the baseline). Wall time is
+machine-dependent and stays informational: printed, never gating.
 
 Exit codes: 0 = no drift, 1 = drift or benchmark set mismatch,
 2 = bad invocation / unreadable input.
 """
 
 import json
-import os
 import sys
 
 
@@ -60,7 +49,7 @@ def gated_fields_of(doc, path):
 
 
 def check_pair(baseline_path, candidate_path):
-    """Returns (drift_lines, benchmark_count, field_count) for one pair."""
+    """Returns (drift_lines, benchmark_count)."""
     baseline_doc, baseline = load(baseline_path)
     candidate_doc, candidate = load(candidate_path)
     fields = gated_fields_of(baseline_doc, baseline_path)
@@ -84,43 +73,26 @@ def check_pair(baseline_path, candidate_path):
               f"{base_ms:.1f} ms, candidate {cand_ms:.1f} ms "
               f"({cand_ms / base_ms - 1.0:+.1%} vs baseline)")
 
-    return drift, len(baseline), len(fields)
+    return drift, len(baseline)
 
 
 def main(argv):
-    args = list(argv[1:])
-    allow_missing = "--allow-missing-baseline" in args
-    args = [a for a in args if a != "--allow-missing-baseline"]
-    if len(args) < 2 or len(args) % 2 != 0:
+    if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
 
-    pairs = [(args[i], args[i + 1]) for i in range(0, len(args), 2)]
-    all_drift = []
-    total_benchmarks = 0
-    checked_pairs = 0
-    for baseline_path, candidate_path in pairs:
-        if allow_missing and not os.path.exists(baseline_path):
-            print(f"WARNING: no baseline at {baseline_path} — bootstrap "
-                  f"pass. Commit the candidate ({candidate_path}) as the "
-                  f"baseline to arm this gate.")
-            continue
-        drift, count, _ = check_pair(baseline_path, candidate_path)
-        all_drift.extend(f"{baseline_path}: {line}" for line in drift)
-        total_benchmarks += count
-        checked_pairs += 1
-
-    if all_drift:
-        print(f"GATED-FIELD DRIFT across {len(all_drift)} check(s):")
-        for line in all_drift:
+    baseline_path, candidate_path = argv[1:]
+    drift, count = check_pair(baseline_path, candidate_path)
+    if drift:
+        print(f"GATED-FIELD DRIFT in {baseline_path} across {len(drift)} "
+              f"check(s):")
+        for line in drift:
             print(f"  {line}")
-        print("\nIf this change is intentional, regenerate the baseline(s) "
-              "with the matching bench binary (bench_paper / "
-              "bench_serve_load).")
+        print("\nIf this change is intentional, regenerate the baseline "
+              "with bench_paper.")
         return 1
 
-    print(f"OK: {total_benchmarks} benchmarks across {checked_pairs} "
-          f"pair(s), no drift in any gated field.")
+    print(f"OK: {count} benchmarks, no drift in any gated field.")
     return 0
 
 

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Unit tests for check_bench_regression.py — the gate every bench lane
+"""Unit tests for check_bench_regression.py — the gate the bench lane
 funnels through. Covers: clean pass, gated-field drift, benchmark-set
-mismatch, gating only the baseline's gated_fields, malformed inputs
-(exit 2, a missing gated_fields among them), and the
---allow-missing-baseline bootstrap path.
+mismatch, gating only the baseline's gated_fields, and malformed inputs
+(exit 2, a missing gated_fields and a missing baseline among them).
 
 Run directly (python3 scripts/test_check_bench_regression.py) or via the
 ctest entry `check_bench_regression_py`.
@@ -81,21 +80,11 @@ class CleanRuns(GateHarness):
         self.assertEqual(code, 0)
         self.assertIn("informational", out)  # wall time printed, not gating
 
-    def test_multiple_pairs_in_one_invocation(self):
-        rows = [{"name": "a", "swaps": 1, "makespan": 2, "cycles": 3}]
-        b1 = self.write("b1.json", bench_doc(rows))
-        c1 = self.write("c1.json", bench_doc(rows))
-        b2 = self.write("b2.json", bench_doc(rows))
-        c2 = self.write("c2.json", bench_doc(rows))
-        code, out, _ = self.run_gate(b1, c1, b2, c2)
-        self.assertEqual(code, 0)
-        self.assertIn("2 pair(s)", out)
-
 
 class DriftDetection(GateHarness):
     def test_only_the_baselines_gated_fields_are_checked(self):
         # With gated_fields = ["disk_hits"], swaps drift is ignored but
-        # disk_hits drift fails — the serve-bench warm-start contract.
+        # disk_hits drift fails: a baseline gates exactly what it names.
         base = self.write("base.json", bench_doc(
             [{"name": "warm", "swaps": 3, "disk_hits": 121}],
             gated_fields=["disk_hits"]))
@@ -177,30 +166,6 @@ class MissingBaseline(GateHarness):
         code, _, err = self.run_gate(self.missing("base.json"), cand)
         self.assertEqual(code, 2)
         self.assertIn("cannot read", err)
-
-    def test_allow_missing_baseline_bootstraps(self):
-        cand = self.write("cand.json", bench_doc([{"name": "a"}]))
-        code, out, _ = self.run_gate(
-            "--allow-missing-baseline", self.missing("base.json"), cand)
-        self.assertEqual(code, 0)
-        self.assertIn("bootstrap", out)
-
-    def test_allow_missing_still_gates_existing_baselines(self):
-        # The flag skips ABSENT baselines only; a present-but-drifting
-        # pair in the same invocation still fails.
-        base = self.write("base.json", bench_doc([{"name": "a", "swaps": 1}]))
-        cand = self.write("cand.json", bench_doc([{"name": "a", "swaps": 2}]))
-        code, out, _ = self.run_gate(
-            "--allow-missing-baseline",
-            self.missing("new_base.json"), cand, base, cand)
-        self.assertEqual(code, 1)
-        self.assertIn("swaps 1 -> 2", out)
-
-    def test_allow_missing_with_malformed_existing_baseline_still_fails(self):
-        base = self.write("base.json", "][")
-        cand = self.write("cand.json", bench_doc([{"name": "a"}]))
-        code, _, _ = self.run_gate("--allow-missing-baseline", base, cand)
-        self.assertEqual(code, 2)
 
 
 if __name__ == "__main__":

@@ -107,7 +107,6 @@ class CouplingGraph {
   /// the tests force a backend with the other two. Resets an already-built
   /// oracle.
   void set_distance_policy(DistancePolicy policy);
-  DistancePolicy distance_policy() const { return policy_; }
 
   /// True when every qubit can reach every other qubit.
   bool is_fully_connected() const;

@@ -35,8 +35,6 @@ class DurationMap {
   /// Overrides every 2-qubit kind except SWAP.
   void set_all_two_qubit(Duration d);
 
-  Duration swap_duration() const { return of(ir::GateKind::kSwap); }
-
   /// Content-addressed 64-bit fingerprint over the full duration table in
   /// GateKind enum order. Deterministic across runs.
   std::uint64_t fingerprint() const;

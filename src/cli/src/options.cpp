@@ -95,7 +95,7 @@ constexpr const char* kRoutingUsage =
                         README "Device files")
   -r, --router NAME     routing pass (default codar); see --list-routers
       --initial NAME    initial mapping (default sabre); see --list-mappings
-      --seed N          initial-mapping RNG seed (default 17)
+      --seed N          initial-mapping RNG seed, 0 to 2^64 - 1 (default 17)
       --mapping-rounds N  SABRE reverse-traversal rounds (default 3; >= 1)
       --mapping-horizon N
                         routed two-qubit gates the SABRE layout search

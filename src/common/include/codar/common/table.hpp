@@ -16,7 +16,6 @@ class Table {
   explicit Table(std::vector<std::string> header);
 
   void add_row(std::vector<std::string> cells);
-  std::size_t row_count() const { return rows_.size(); }
 
   /// Aligned, human-readable rendering (pads each column to its max width).
   void print(std::ostream& os) const;

@@ -25,8 +25,8 @@
 // the gate past the window boundary starts its walks at its wire
 // predecessors, all of which are in the window because the window is an
 // alive prefix. Equivalence with the rescan definition is locked in by
-// randomized differential tests against commutative_front() and the
-// preserved oracle router.
+// randomized differential tests against the reference commutative_front()
+// (tests/support/reference_front.hpp) and the preserved oracle router.
 
 #include <span>
 #include <vector>

@@ -1,6 +1,5 @@
 #include "codar/core/commutativity.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -192,57 +191,6 @@ bool gates_commute(const Gate& a, const Gate& b) {
   if (!a_unitary || !b_unitary) return false;
   if (const auto fast = symbolic_commute(a, b)) return *fast;
   return memoized_unitaries_commute(a, b);
-}
-
-std::vector<std::size_t> commutative_front(
-    const std::vector<ir::Gate>& sequence, const std::vector<int>& pending,
-    int window, bool use_commutativity) {
-  std::vector<std::size_t> front;
-  const std::size_t limit =
-      window <= 0 ? pending.size()
-                  : std::min(pending.size(), static_cast<std::size_t>(window));
-  // wire_gates[q] = positions (into pending) of already-scanned gates on q.
-  // Scanning from the head means every earlier pending gate sharing a wire
-  // with gate k has already been recorded.
-  std::vector<std::vector<std::size_t>> wire_gates;
-  for (std::size_t k = 0; k < limit; ++k) {
-    const int gate_idx = pending[k];
-    CODAR_EXPECTS(gate_idx >= 0 &&
-                  static_cast<std::size_t>(gate_idx) < sequence.size());
-    const Gate& g = sequence[static_cast<std::size_t>(gate_idx)];
-    bool is_front = true;
-    for (const Qubit q : g.qubits()) {
-      const auto wire = static_cast<std::size_t>(q);
-      if (wire >= wire_gates.size()) wire_gates.resize(wire + 1);
-      for (const std::size_t earlier : wire_gates[wire]) {
-        const Gate& h = sequence[static_cast<std::size_t>(pending[earlier])];
-        if (!use_commutativity || !gates_commute(h, g)) {
-          is_front = false;
-          break;
-        }
-      }
-      if (!is_front) break;
-    }
-    if (is_front) front.push_back(k);
-    for (const Qubit q : g.qubits()) {
-      const auto wire = static_cast<std::size_t>(q);
-      // The check loop may have bailed out before sizing every wire.
-      if (wire >= wire_gates.size()) wire_gates.resize(wire + 1);
-      wire_gates[wire].push_back(k);
-    }
-  }
-  return front;
-}
-
-std::vector<std::size_t> commutative_front(const ir::Circuit& circuit,
-                                           int window,
-                                           bool use_commutativity) {
-  std::vector<ir::Gate> sequence(circuit.gates().begin(),
-                                 circuit.gates().end());
-  std::vector<int> pending(circuit.size());
-  for (std::size_t i = 0; i < pending.size(); ++i)
-    pending[i] = static_cast<int>(i);
-  return commutative_front(sequence, pending, window, use_commutativity);
 }
 
 }  // namespace codar::core

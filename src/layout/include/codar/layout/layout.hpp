@@ -36,7 +36,6 @@ class Layout {
     CODAR_EXPECTS(physical >= 0 && physical < num_physical());
     return p2l_[static_cast<std::size_t>(physical)];
   }
-  bool occupied(Qubit physical) const { return logical(physical) >= 0; }
 
   /// Applies a SWAP between two *physical* qubits (either or both may be
   /// unoccupied; the paper's routing swaps physical qubits, not logical).

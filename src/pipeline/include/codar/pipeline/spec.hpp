@@ -109,12 +109,15 @@ struct RoutingKnob {
     kOn,       ///< A switch; the CLI flag takes no value and sets true.
     kOff,      ///< A switch; the CLI flag takes no value and sets false.
     kInt,      ///< An integer >= min that fits an int.
-    kSeed,     ///< Any 64-bit integer, kept modulo 2^64.
+    kSeed,     ///< A decimal integer from 0 to 2^64 - 1, as text.
     kNumber,   ///< A finite number >= min.
     kMapping,  ///< A MappingRegistry name.
   };
   /// The value a front end converted: bool for switches, long long for
-  /// kInt/kSeed, double for kNumber, the name for kMapping.
+  /// kInt, double for kNumber, the name for kMapping. A kSeed value is
+  /// the token itself (argv text, or a JSON number's raw text: a double
+  /// cannot hold every seed), which set() parses with one grammar for
+  /// both front ends: digits only, so "-1", "1.5" and "1e3" are refused.
   using Value = std::variant<bool, long long, double, std::string>;
   using Field =
       std::variant<bool*, int*, std::uint64_t*, double*, std::string*>;

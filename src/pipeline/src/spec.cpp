@@ -51,15 +51,16 @@ constexpr RoutingKnob kKnobs[] = {
      [](RoutingSpec& s) -> Field { return &s.fid.gamma; }, 0},
 };
 
-/// Parses the whole of `text` as a T, or throws UsageError naming `flag`.
+/// Parses the whole of `text` as a T, or throws UsageError naming the
+/// knob as `name`.
 template <typename T>
-T parse_text(const std::string& flag, const std::string& text,
+T parse_text(const std::string& name, const std::string& text,
              const char* what) {
   T result{};
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), result);
   if (ec != std::errc() || ptr != text.data() + text.size()) {
-    throw UsageError(flag + " expects " + what + ", got '" + text + "'");
+    throw UsageError(name + " expects " + what + ", got '" + text + "'");
   }
   return result;
 }
@@ -90,8 +91,9 @@ void RoutingKnob::set(RoutingSpec& spec, const Value& value,
       return;
     }
     case Kind::kSeed:
-      *std::get<std::uint64_t*>(target) =
-          static_cast<std::uint64_t>(std::get<long long>(value));
+      *std::get<std::uint64_t*>(target) = parse_text<std::uint64_t>(
+          name, std::get<std::string>(value),
+          "an integer from 0 to 2^64 - 1");
       return;
     case Kind::kNumber: {
       // Weights must be real numbers: their bit patterns feed the route
@@ -126,12 +128,12 @@ bool set_knob_flag(RoutingSpec& spec, const std::string& flag,
       v = knob->kind == Kind::kOn;
       break;
     case Kind::kInt:
-    case Kind::kSeed:
       v = parse_text<long long>(flag, value(), "an integer");
       break;
     case Kind::kNumber:
       v = parse_text<double>(flag, value(), "a finite number");
       break;
+    case Kind::kSeed:
     case Kind::kMapping:
       v = value();
       break;

@@ -43,8 +43,7 @@ void set_option(pipeline::RoutingSpec& opts, const std::string& key,
       if (!v.is_bool()) bad(name + " must be a boolean");
       value = v.as_bool();
       break;
-    case Kind::kInt:
-    case Kind::kSeed: {
+    case Kind::kInt: {
       // JSON numbers are doubles: take the integral ones that convert
       // exactly.
       if (!v.is_number()) bad(name + " must be an integer");
@@ -55,6 +54,11 @@ void set_option(pipeline::RoutingSpec& opts, const std::string& key,
       value = static_cast<long long>(d);
       break;
     }
+    case Kind::kSeed:
+      // The raw token, parsed as the CLI parses --seed.
+      if (!v.is_number()) bad(name + " must be an integer");
+      value = v.raw_number();
+      break;
     case Kind::kNumber:
       if (!v.is_number()) bad(name + " must be a number");
       value = v.as_number();

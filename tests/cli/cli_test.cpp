@@ -139,27 +139,35 @@ long long int_floor(const pipeline::RoutingKnob& knob) {
       std::max(knob.min, double{std::numeric_limits<int>::min()}));
 }
 
-/// A valid value for `knob`, away from its default.
-KnobInput valid_input(const pipeline::RoutingKnob& knob) {
+/// Valid values for `knob`, away from its default.
+std::vector<KnobInput> valid_inputs(const pipeline::RoutingKnob& knob) {
   using Kind = pipeline::RoutingKnob::Kind;
   switch (knob.kind) {
     case Kind::kOn:
-      return {{knob.flag}, "true"};
+      return {{{knob.flag}, "true"}};
     case Kind::kOff:
-      return {{knob.flag}, "false"};
+      return {{{knob.flag}, "false"}};
     case Kind::kInt: {
       const std::string n = std::to_string(int_floor(knob) + 7);
-      return {{knob.flag, n}, n};
+      return {{{knob.flag, n}, n}};
     }
-    case Kind::kSeed:
-      return {{knob.flag, "3"}, "3"};
+    case Kind::kSeed: {
+      // 0, 2^53 + 1 (the first integer a double cannot hold), 2^63 and
+      // 2^64 - 1.
+      std::vector<KnobInput> seeds;
+      for (const char* n : {"0", "9007199254740993", "9223372036854775808",
+                            "18446744073709551615"}) {
+        seeds.push_back({{knob.flag, n}, n});
+      }
+      return seeds;
+    }
     case Kind::kNumber: {
       const double low = std::isfinite(knob.min) ? knob.min : 0.0;
       const std::string x = common::json_number(low + 1.25);
-      return {{knob.flag, x}, x};
+      return {{{knob.flag, x}, x}};
     }
     case Kind::kMapping:
-      return {{knob.flag, "greedy"}, "\"greedy\""};
+      return {{{knob.flag, "greedy"}, "\"greedy\""}};
   }
   return {};
 }
@@ -178,8 +186,14 @@ std::vector<KnobInput> invalid_inputs(const pipeline::RoutingKnob& knob) {
           std::to_string(std::numeric_limits<int>::max() + 1LL);
       return {{{knob.flag, low}, low}, {{knob.flag, high}, high}};
     }
-    case Kind::kSeed:
-      return {{{knob.flag, "1.5"}, "1.5"}};
+    case Kind::kSeed: {
+      // -1, 2^64, and the non-integer and exponent spellings.
+      std::vector<KnobInput> past;
+      for (const char* n : {"-1", "18446744073709551616", "1.5", "1e3"}) {
+        past.push_back({{knob.flag, n}, n});
+      }
+      return past;
+    }
     case Kind::kNumber: {
       std::vector<KnobInput> past = {{{knob.flag, "inf"}, "1e999"}};
       if (std::isfinite(knob.min)) {
@@ -211,18 +225,23 @@ TEST(KnobTable, BothFrontEndsAcceptTheSameKnobsAndBounds) {
     SCOPED_TRACE(std::string(knob.key) + " / " + knob.flag);
     EXPECT_NE(usage().find(knob.flag), std::string::npos);
 
-    const KnobInput valid = valid_input(knob);
-    const Options cli = parse_with_input(valid.argv);
-    const service::ServeRequest request = service::parse_request(
-        request_with(knob.key, valid.json), defaults);
-    EXPECT_EQ(service::options_fingerprint(cli),
-              service::options_fingerprint(request.opts));
-    EXPECT_EQ(cli.timing, request.opts.timing);
-    // The value took effect: it keys the route cache, or it is the one
-    // presentation knob.
-    EXPECT_TRUE(service::options_fingerprint(cli) !=
-                    service::options_fingerprint(defaults) ||
-                cli.timing != defaults.timing);
+    for (const KnobInput& valid : valid_inputs(knob)) {
+      SCOPED_TRACE(valid.json);
+      const Options cli = parse_with_input(valid.argv);
+      const service::ServeRequest request = service::parse_request(
+          request_with(knob.key, valid.json), defaults);
+      EXPECT_EQ(service::options_fingerprint(cli),
+                service::options_fingerprint(request.opts));
+      EXPECT_EQ(cli.timing, request.opts.timing);
+      // The value took effect: it keys the route cache, or it is the one
+      // presentation knob.
+      EXPECT_TRUE(service::options_fingerprint(cli) !=
+                      service::options_fingerprint(defaults) ||
+                  cli.timing != defaults.timing);
+      if (knob.kind == pipeline::RoutingKnob::Kind::kSeed) {
+        EXPECT_EQ(std::to_string(cli.seed), valid.json);  // not rounded
+      }
+    }
 
     for (const KnobInput& past : invalid_inputs(knob)) {
       SCOPED_TRACE(past.json);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "codar/common/arena.hpp"
@@ -94,7 +95,8 @@ TEST(Table, AlignedOutput) {
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("-----"), std::string::npos);  // header rule
-  EXPECT_EQ(t.row_count(), 2u);
+  // Header, rule, and one line per row.
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
 }
 
 TEST(Table, RejectsMismatchedRows) {

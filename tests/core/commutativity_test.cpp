@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "codar/ir/unitary.hpp"
+#include "support/reference_front.hpp"
 
 namespace codar::core {
 namespace {
@@ -16,6 +17,7 @@ using ir::Circuit;
 using ir::Gate;
 using ir::GateKind;
 using ir::Qubit;
+using codar::testing::commutative_front;
 
 TEST(GatesCommute, DisjointAlwaysCommute) {
   EXPECT_TRUE(gates_commute(Gate::cx(0, 1), Gate::cx(2, 3)));

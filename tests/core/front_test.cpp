@@ -8,9 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include "codar/core/commutativity.hpp"
 #include "codar/ir/circuit.hpp"
 #include "codar/workloads/generators.hpp"
+#include "support/reference_front.hpp"
 
 namespace codar::core {
 namespace {
@@ -18,14 +18,15 @@ namespace {
 using ir::Circuit;
 using ir::Gate;
 using ir::Qubit;
+using codar::testing::commutative_front;
 
 std::vector<Gate> gates_of(const Circuit& c) {
   return {c.gates().begin(), c.gates().end()};
 }
 
 /// The rescan definition of the CF set over the given alive set, via the
-/// reference commutative_front() (positions within `pending` mapped back to
-/// gate indices).
+/// reference commutative_front() in support/reference_front.hpp (positions
+/// within `pending` mapped back to gate indices).
 std::vector<int> rescan_front(const std::vector<Gate>& gates,
                               const std::vector<char>& alive, int window,
                               bool use_commutativity) {

@@ -15,7 +15,6 @@ TEST(Layout, IdentityConstruction) {
   }
   EXPECT_EQ(l.logical(3), -1);
   EXPECT_EQ(l.logical(4), -1);
-  EXPECT_FALSE(l.occupied(4));
 }
 
 TEST(Layout, RequiresEnoughPhysicalQubits) {

@@ -1,14 +1,20 @@
 // Socket-transport tests for `codar serve`: a multi-client pipelined TCP
 // storm whose per-request stats are byte-identical to the batch driver,
-// Unix-domain sockets, per-connection backpressure liveness, and protocol
-// robustness at the transport boundary — oversized frames, split lines,
-// malformed JSON mid-pipeline, clients vanishing with responses pending,
-// idle timeouts and drain-on-shutdown. The TSan CI lane runs these to put
-// real contention on the connection path.
+// seeded load mixes whose cache counters are exact, Unix-domain sockets,
+// per-connection backpressure liveness, and protocol robustness at the
+// transport boundary — oversized frames, split lines, malformed JSON
+// mid-pipeline, clients vanishing with responses pending, idle timeouts
+// and drain-on-shutdown. The TSan CI lane runs these to put real
+// contention on the connection path.
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <ostream>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include "codar/arch/device.hpp"
+#include "codar/arch/device_json.hpp"
 #include "codar/cli/driver.hpp"
 #include "codar/cli/options.hpp"
 #include "codar/common/json.hpp"
@@ -184,6 +192,199 @@ TEST(ServeSocket, EightClientStormIsByteIdenticalToBatch) {
             static_cast<double>(unique.size()));
   EXPECT_EQ(stats.find("cache")->find("hits")->as_number(),
             static_cast<double>(kClients * suite.size() - unique.size()));
+}
+
+// -- Seeded load mixes -------------------------------------------------------
+
+/// Request mixes; each value is the mix's RNG stream index.
+enum class Mix { kSequential = 0, kUniform = 1, kZipf = 2 };
+
+constexpr int kMixClients = 8;
+constexpr int kMixRequests = 400;  // per client
+constexpr std::uint64_t kMixTotal = kMixClients * kMixRequests;
+constexpr int kInlineDevices = 3;
+
+/// One request of a mix: suite circuit `circuit` on the server's default
+/// device, or on inline device `device` when it is not -1.
+struct MixRequest {
+  std::size_t circuit = 0;
+  int device = -1;
+  auto operator<=>(const MixRequest&) const = default;
+};
+
+/// Zipf(s=1) cumulative distribution over ranks 0..n-1. With s = 1 the
+/// weights are plain divisions (correctly rounded), so the table, and the
+/// mix drawn from it, is the same on every platform; pow() would not be.
+std::vector<double> zipf_cdf(std::size_t n) {
+  double total = 0.0;
+  for (std::size_t k = 0; k < n; ++k) total += 1.0 / static_cast<double>(k + 1);
+  std::vector<double> cdf(n);
+  double cum = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    cum += 1.0 / static_cast<double>(k + 1) / total;
+    cdf[k] = cum;
+  }
+  cdf[n - 1] = 1.0;  // guard against rounding shortfall
+  return cdf;
+}
+
+/// Client `client`'s requests in `mix`. Draws are raw mt19937_64 output,
+/// not std:: distributions (whose mappings vary by standard library).
+/// Every 8th request names an inline device; in the random mixes the
+/// choice costs one draw after the circuit's.
+std::vector<MixRequest> mix_stream(Mix mix, int client,
+                                   std::size_t suite_size) {
+  std::mt19937_64 rng(1000003ULL + 1009ULL * static_cast<std::uint64_t>(mix) +
+                      static_cast<std::uint64_t>(client));
+  const std::vector<double> cdf = zipf_cdf(suite_size);
+  std::vector<MixRequest> stream(kMixRequests);
+  for (int i = 0; i < kMixRequests; ++i) {
+    MixRequest& r = stream[static_cast<std::size_t>(i)];
+    switch (mix) {
+      case Mix::kSequential:
+        r.circuit = static_cast<std::size_t>(i) % suite_size;
+        break;
+      case Mix::kUniform:
+        r.circuit = static_cast<std::size_t>(rng() % suite_size);
+        break;
+      case Mix::kZipf: {
+        const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
+        r.circuit = static_cast<std::size_t>(
+            std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        break;
+      }
+    }
+    if (i % 8 == 5) {
+      r.device = mix == Mix::kSequential
+                     ? (i / 8) % kInlineDevices
+                     : static_cast<int>(rng() % kInlineDevices);
+    }
+  }
+  return stream;
+}
+
+/// The server counters a load mix pins, from {"cmd": "stats"}.
+struct LoadCounters {
+  std::uint64_t requests, routed, errors, hits, misses, disk_hits;
+  bool operator==(const LoadCounters&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LoadCounters& c) {
+  return os << "requests/routed/errors/hits/misses/disk_hits " << c.requests
+            << "/" << c.routed << "/" << c.errors << "/" << c.hits << "/"
+            << c.misses << "/" << c.disk_hits;
+}
+
+TEST(ServeSocket, LoadMixCountersAreExact) {
+  // Eight pipelined clients send seeded mixes: sequential (each client
+  // walks the suite in order), uniform, zipf (the hot-key shape of a
+  // cache), and warm_start, the sequential mix against a server restarted
+  // on the --cache-dir a first server filled. Single-flight routes, and
+  // probes disk for, each distinct key once, so the counters depend only
+  // on the request streams: the worker count is fixed, not the hardware's.
+  const std::vector<workloads::BenchmarkSpec> suite =
+      workloads::benchmark_suite();
+  // Recalibrated Enfield variants: distinct device fingerprints, so the
+  // inline-device path routes for real.
+  std::vector<std::string> devices;
+  for (int v = 0; v < kInlineDevices; ++v) {
+    arch::Device dev = arch::enfield_6x6();
+    dev.calibration.set_duration_2q(0, 1,
+                                    static_cast<arch::Duration>(12 + 4 * v));
+    std::string text = arch::device_to_json(dev);
+    std::replace(text.begin(), text.end(), '\n', ' ');
+    devices.push_back(text);
+  }
+
+  const auto distinct_keys = [&](Mix mix) {
+    std::set<MixRequest> keys;
+    for (int c = 0; c < kMixClients; ++c) {
+      for (const MixRequest& r : mix_stream(mix, c, suite.size())) {
+        keys.insert(r);
+      }
+    }
+    return static_cast<std::uint64_t>(keys.size());
+  };
+
+  // Starts a server, lets every client run its stream with up to 32
+  // requests in flight (below --max-inflight), then stops the server.
+  const auto run_mix = [&](const ServeOptions& sopts, Mix mix) {
+    const auto handle = start_serve(sopts);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kMixClients; ++c) {
+      clients.emplace_back([&, c] {
+        std::vector<std::string> lines;
+        for (const MixRequest& r : mix_stream(mix, c, suite.size())) {
+          std::string line =
+              "{\"suite_name\": " + json_quote(suite[r.circuit].name);
+          if (r.device != -1) {
+            line += ", \"device\": " +
+                    devices[static_cast<std::size_t>(r.device)];
+          }
+          lines.push_back(line + "}");
+        }
+        Client client(handle->endpoint());
+        std::size_t sent = 0;
+        for (std::size_t done = 0; done < lines.size(); ++done) {
+          while (sent < lines.size() && sent - done < 32) {
+            ASSERT_TRUE(client.send(lines[sent++]));
+          }
+          std::string response;
+          ASSERT_TRUE(client.read_line(&response)) << "client " << c;
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+
+    Client probe(handle->endpoint());
+    std::string line;
+    EXPECT_TRUE(probe.send(R"({"cmd": "stats"})"));
+    EXPECT_TRUE(probe.read_line(&line));
+    const Json stats = Json::parse(line);
+    const Json& cache = *stats.find("cache");
+    const auto count = [](const Json& doc, const char* key) {
+      return static_cast<std::uint64_t>(doc.find(key)->as_number());
+    };
+    handle->shutdown();
+    EXPECT_EQ(handle->join(), 0);
+    return LoadCounters{count(stats, "requests"), count(stats, "routed"),
+                        count(stats, "errors"),   count(cache, "hits"),
+                        count(cache, "misses"),   count(cache, "disk_hits")};
+  };
+
+  const LoadCounters sequential = run_mix(tcp_options(), Mix::kSequential);
+  const LoadCounters uniform = run_mix(tcp_options(), Mix::kUniform);
+  const LoadCounters zipf = run_mix(tcp_options(), Mix::kZipf);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("codar_serve_load_mix_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ServeOptions persistent = tcp_options();
+  persistent.cache_dir = dir.string();
+  const LoadCounters populate = run_mix(persistent, Mix::kSequential);
+  const LoadCounters warm_start = run_mix(persistent, Mix::kSequential);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+
+  EXPECT_EQ(sequential, (LoadCounters{3200, 121, 0, 3079, 121, 0}));
+  EXPECT_EQ(uniform, (LoadCounters{3200, 252, 0, 2948, 252, 0}));
+  EXPECT_EQ(zipf, (LoadCounters{3200, 202, 0, 2998, 202, 0}));
+  EXPECT_EQ(warm_start, (LoadCounters{3200, 0, 0, 3200, 0, 121}));
+
+  // The same values from the streams: a cold server routes each distinct
+  // key once and answers every other request from memory; a restarted
+  // one finds each distinct key on disk once and routes nothing.
+  const auto cold = [&](Mix mix) {
+    const std::uint64_t distinct = distinct_keys(mix);
+    return LoadCounters{kMixTotal, distinct, 0, kMixTotal - distinct,
+                        distinct,  0};
+  };
+  EXPECT_EQ(sequential, cold(Mix::kSequential));
+  EXPECT_EQ(uniform, cold(Mix::kUniform));
+  EXPECT_EQ(zipf, cold(Mix::kZipf));
+  EXPECT_EQ(populate, cold(Mix::kSequential));
+  EXPECT_EQ(warm_start, (LoadCounters{kMixTotal, 0, 0, kMixTotal, 0,
+                                      distinct_keys(Mix::kSequential)}));
 }
 
 TEST(ServeSocket, UnixDomainSocketServesConcurrentClients) {
