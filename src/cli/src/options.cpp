@@ -1,9 +1,7 @@
 #include "codar/cli/options.hpp"
 
-#include <charconv>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 
 #include "codar/pipeline/registry.hpp"
 #include "codar/service/transport.hpp"
@@ -12,21 +10,10 @@ namespace codar::cli {
 
 namespace {
 
-/// Parses all of `value` as an integer of type T, or throws UsageError
-/// naming `flag`.
-template <typename T>
-T parse_int(const std::string& flag, const std::string& value) {
-  T result = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), result);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    const char* what =
-        std::is_signed_v<T> ? "an integer" : "a non-negative integer";
-    throw pipeline::UsageError(flag + " expects " + what + ", got '" + value +
-                               "'");
-  }
-  return result;
-}
+using pipeline::parse_text;
+
+/// What the serve size and count flags expect (parsed as std::size_t).
+constexpr const char* kCount = "a non-negative integer";
 
 /// Tries to consume one routing flag into `spec`: the device, router,
 /// thread and --set flags here, every knob flag through the knob table.
@@ -40,7 +27,7 @@ bool parse_routing_flag(pipeline::RoutingSpec& spec, const std::string& arg,
     // names, not at route time.
     spec.router = pipeline::RouterRegistry::instance().at(value()).name;
   } else if (arg == "--threads" || arg == "-j") {
-    const long long threads = parse_int<long long>(arg, value());
+    const auto threads = parse_text<long long>(arg, value(), "an integer");
     if (threads < 0) throw pipeline::UsageError(arg + " must be >= 0");
     if (threads > std::numeric_limits<int>::max()) {
       throw pipeline::UsageError(arg + " is out of range");
@@ -176,9 +163,9 @@ service::ServeOptions parse_serve_args(const std::vector<std::string>& args) {
   opts.help = walk_args(args, opts.defaults, [&](const std::string& arg,
                                                  const auto& value) {
     if (arg == "--cache-bytes") {
-      opts.cache_bytes = parse_int<std::size_t>(arg, value());
+      opts.cache_bytes = parse_text<std::size_t>(arg, value(), kCount);
     } else if (arg == "--cache-shards") {
-      const std::size_t shards = parse_int<std::size_t>(arg, value());
+      const std::size_t shards = parse_text<std::size_t>(arg, value(), kCount);
       // Upper bound before the int cast: 2^32 would truncate to 0 and
       // blow past RouteCache's num_shards >= 1 contract.
       if (shards < 1 || shards > 4096) {
@@ -191,9 +178,9 @@ service::ServeOptions parse_serve_args(const std::vector<std::string>& args) {
         throw pipeline::UsageError("--cache-dir expects a directory path");
       }
     } else if (arg == "--cache-disk-bytes") {
-      opts.cache_disk_bytes = parse_int<std::size_t>(arg, value());
+      opts.cache_disk_bytes = parse_text<std::size_t>(arg, value(), kCount);
     } else if (arg == "--warm-start") {
-      opts.warm_start = parse_int<std::size_t>(arg, value());
+      opts.warm_start = parse_text<std::size_t>(arg, value(), kCount);
     } else if (arg == "--listen") {
       opts.listen = value();
       try {
@@ -202,19 +189,19 @@ service::ServeOptions parse_serve_args(const std::vector<std::string>& args) {
         throw pipeline::UsageError(e.what());
       }
     } else if (arg == "--max-inflight") {
-      const std::size_t n = parse_int<std::size_t>(arg, value());
+      const std::size_t n = parse_text<std::size_t>(arg, value(), kCount);
       if (n < 1 || n > (1u << 20)) {
         throw pipeline::UsageError("--max-inflight must be in [1, 1048576]");
       }
       opts.max_inflight = n;
     } else if (arg == "--idle-timeout-ms") {
-      const std::size_t ms = parse_int<std::size_t>(arg, value());
+      const std::size_t ms = parse_text<std::size_t>(arg, value(), kCount);
       if (ms > 86400000) {
         throw pipeline::UsageError("--idle-timeout-ms must be <= 86400000");
       }
       opts.idle_timeout_ms = static_cast<int>(ms);
     } else if (arg == "--max-line-bytes") {
-      const std::size_t n = parse_int<std::size_t>(arg, value());
+      const std::size_t n = parse_text<std::size_t>(arg, value(), kCount);
       if (n < 1024) {
         throw pipeline::UsageError("--max-line-bytes must be >= 1024");
       }

@@ -23,16 +23,35 @@ using ir::Qubit;
 /// only trips on an internal bug; better a loud error than a silent hang.
 constexpr std::size_t kMaxIterations = 50'000'000;
 
+/// A two-qubit gate the coupling graph constrains (barriers are fences).
+bool is_routed_two_qubit(const Gate& g) {
+  return g.num_qubits() == 2 && g.kind() != GateKind::kBarrier;
+}
+
+/// One two-qubit CF gate under the current π, threaded onto the list of
+/// each physical qubit it occupies: next[k] continues phys[k]'s list.
+struct CfEntry {
+  int gate;
+  Qubit phys[2];
+  int next[2];
+};
+
+/// A candidate SWAP and the id of its coupler (the priority-cache key).
+struct Candidate {
+  SwapCandidate swap;
+  int edge;
+};
+
 /// Working state of one route() invocation.
 ///
 /// This is the event-driven rewrite of the original loop: the CF set lives
 /// in an incrementally-maintained CommutativeFront (no per-iteration
 /// rescan), time advances through the lock bank's expiry heap, and
 /// swap_step runs allocation-free on reused scratch buffers with candidate
-/// priorities recomputed only where a previous SWAP moved an endpoint. The
-/// routing decisions — launch order, SWAP choices, timing — are identical
-/// to the original rescan loop (preserved as the differential-test oracle
-/// in tests/support/rescan_router.hpp).
+/// priorities cached per coupler and re-priced only where a CF gate
+/// appeared, left or moved. The routing decisions — launch order, SWAP
+/// choices, timing — are identical to the original rescan loop (preserved
+/// as the differential-test oracle in tests/support/rescan_router.hpp).
 class RoutingRun {
  public:
   RoutingRun(const arch::Device& device, const CodarConfig& config,
@@ -41,6 +60,8 @@ class RoutingRun {
       : device_(device),
         config_(config),
         dist_(device.graph.oracle()),
+        dense_(dist_.dense_matrix()),
+        stride_(dist_.dense_stride()),
         cost_(config.swap_cost.get()),
         gates_(input.gates().begin(), input.gates().end()),
         barriers_(input.barrier_count()),
@@ -51,15 +72,22 @@ class RoutingRun {
         out_(device.graph.num_qubits(), input.name() + "_codar"),
         pass_scratch_(common::ArenaAllocator<int>(arena)),
         phys_scratch_(common::ArenaAllocator<Qubit>(arena)),
+        entries_(common::ArenaAllocator<CfEntry>(arena)),
+        prev_entries_(common::ArenaAllocator<CfEntry>(arena)),
+        entry_head_(static_cast<std::size_t>(device.graph.num_qubits()), -1,
+                    common::ArenaAllocator<int>(arena)),
+        qubit_version_(static_cast<std::size_t>(device.graph.num_qubits()), 1,
+                       common::ArenaAllocator<std::uint64_t>(arena)),
         blocked_scratch_(common::ArenaAllocator<int>(arena)),
-        cand_scratch_(common::ArenaAllocator<SwapCandidate>(arena)),
-        prio_scratch_(common::ArenaAllocator<SwapPriority>(arena)),
+        cand_scratch_(common::ArenaAllocator<Candidate>(arena)),
         bonus_scratch_(common::ArenaAllocator<double>(arena)),
         endpoints_scratch_(common::ArenaAllocator<GateEndpoints>(arena)),
         edge_seen_(device.graph.num_edges(), 0,
                    common::ArenaAllocator<std::uint32_t>(arena)),
-        qubit_marked_(static_cast<std::size_t>(device.graph.num_qubits()), 0,
-                      common::ArenaAllocator<std::uint32_t>(arena)) {}
+        edge_priority_(device.graph.num_edges(),
+                       common::ArenaAllocator<SwapPriority>(arena)),
+        edge_priced_(device.graph.num_edges(), 0,
+                     common::ArenaAllocator<std::uint64_t>(arena)) {}
 
   RoutingResult run() {
     std::size_t iterations = 0;
@@ -125,8 +153,8 @@ class RoutingRun {
           phys_scratch_.push_back(pi_.physical(q));
         }
         if (!locks_.all_free(phys_scratch_, now_)) continue;
-        if (g.num_qubits() == 2 && g.kind() != GateKind::kBarrier &&
-            !device_.graph.connected(phys_scratch_[0], phys_scratch_[1])) {
+        if (is_routed_two_qubit(g) &&
+            !coupled(phys_scratch_[0], phys_scratch_[1])) {
           continue;
         }
         out_.add(g.remapped([&](Qubit lq) { return pi_.physical(lq); }));
@@ -144,30 +172,103 @@ class RoutingRun {
 
   // -- Step 3: SWAP insertion ------------------------------------------------
 
-  /// Fills endpoints_scratch_ with the physical endpoints of every two-qubit
-  /// CF gate under the current π (front order == program order).
-  void collect_cf_endpoints() {
-    endpoints_scratch_.clear();
-    for (const int gi : front_.front()) {
-      const Gate& g = gates_[static_cast<std::size_t>(gi)];
-      if (g.num_qubits() != 2 || g.kind() == GateKind::kBarrier) continue;
-      endpoints_scratch_.emplace_back(pi_.physical(g.qubit(0)),
-                                      pi_.physical(g.qubit(1)));
+  /// True when a two-qubit gate may act on (a, b): one read of the dense
+  /// matrix (distance 1 is an edge), or the graph's adjacency list on the
+  /// on-demand backend.
+  bool coupled(Qubit a, Qubit b) const {
+    if (dense_ != nullptr) {
+      return dense_[static_cast<std::size_t>(a) * stride_ +
+                    static_cast<std::size_t>(b)] == 1;
     }
+    return device_.graph.connected(a, b);
   }
 
-  /// Fills blocked_scratch_ with the CF two-qubit gates whose endpoints are
-  /// not coupled (program order).
-  void collect_blocked() {
+  /// Marks physical qubit q as changed at the current version: every
+  /// cached priority of a coupler on q priced before now is stale.
+  void stamp(Qubit q) {
+    qubit_version_[static_cast<std::size_t>(q)] = version_;
+  }
+
+  void stamp(const CfEntry& e) {
+    stamp(e.phys[0]);
+    stamp(e.phys[1]);
+  }
+
+  /// The one front pass of a step: rebuilds the CF two-qubit entries under
+  /// the current π (program order) and blocked_scratch_ (the entries whose
+  /// endpoints are not coupled), and merges them on gate index against the
+  /// previous pass to stamp every qubit where an entry appeared, left or
+  /// moved — a retirement, an admission, or a SWAP outside the greedy loop
+  /// (forced, escape, or one the loop did not get to refresh).
+  void scan_front() {
+    std::swap(entries_, prev_entries_);
+    entries_.clear();
     blocked_scratch_.clear();
+    for (const CfEntry& e : prev_entries_) {
+      entry_head_[static_cast<std::size_t>(e.phys[0])] = -1;
+      entry_head_[static_cast<std::size_t>(e.phys[1])] = -1;
+    }
+    ++version_;
+    std::size_t old = 0;
     for (const int gi : front_.front()) {
       const Gate& g = gates_[static_cast<std::size_t>(gi)];
-      if (g.num_qubits() != 2 || g.kind() == GateKind::kBarrier) continue;
-      if (!device_.graph.connected(pi_.physical(g.qubit(0)),
-                                   pi_.physical(g.qubit(1)))) {
-        blocked_scratch_.push_back(gi);
+      if (!is_routed_two_qubit(g)) continue;
+      CfEntry e{gi,
+                {pi_.physical(g.qubit(0)), pi_.physical(g.qubit(1))},
+                {-1, -1}};
+      while (old < prev_entries_.size() && prev_entries_[old].gate < gi) {
+        stamp(prev_entries_[old++]);  // left the CF set
       }
+      if (old < prev_entries_.size() && prev_entries_[old].gate == gi) {
+        const CfEntry& before = prev_entries_[old++];
+        if (before.phys[0] != e.phys[0] || before.phys[1] != e.phys[1]) {
+          stamp(before);  // moved
+          stamp(e);
+        }
+      } else {
+        stamp(e);  // appeared
+      }
+      const auto i = static_cast<int>(entries_.size());
+      for (int k = 0; k < 2; ++k) {  // thread onto both qubits' lists
+        int& head = entry_head_[static_cast<std::size_t>(e.phys[k])];
+        e.next[k] = head;
+        head = i;
+      }
+      entries_.push_back(e);
+      if (!coupled(e.phys[0], e.phys[1])) blocked_scratch_.push_back(i);
     }
+    while (old < prev_entries_.size()) stamp(prev_entries_[old++]);
+  }
+
+  /// ⟨H_basic, H_fine − base⟩ of candidate `c`. Both terms skip every gate
+  /// the SWAP does not move, so the price depends only on the entries on
+  /// c's two qubits: it is reused from the per-coupler cache while neither
+  /// qubit has been stamped since it was priced, and otherwise computed
+  /// over just those entries. (The sums are exact: on a connected device
+  /// no partial sum comes near saturation, so their order is immaterial.)
+  const SwapPriority& priority(const Candidate& c) {
+    const auto edge = static_cast<std::size_t>(c.edge);
+    const std::uint64_t priced = edge_priced_[edge];
+    if (qubit_version_[static_cast<std::size_t>(c.swap.a)] > priced ||
+        qubit_version_[static_cast<std::size_t>(c.swap.b)] > priced) {
+      endpoints_scratch_.clear();
+      for (const Qubit q : {c.swap.a, c.swap.b}) {
+        for (int i = entry_head_[static_cast<std::size_t>(q)]; i >= 0;) {
+          const CfEntry& e = entries_[static_cast<std::size_t>(i)];
+          const int side = e.phys[0] == q ? 0 : 1;
+          // The entry on both qubits is on both lists; count it once.
+          if (q == c.swap.a || e.phys[1 - side] != c.swap.a) {
+            endpoints_scratch_.emplace_back(e.phys[0], e.phys[1]);
+          }
+          i = e.next[side];
+        }
+      }
+      edge_priority_[edge] =
+          swap_priority_delta(endpoints_scratch_, dist_, device_.graph, c.swap,
+                              config_.fine_priority);
+      edge_priced_[edge] = version_;
+    }
+    return edge_priority_[edge];
   }
 
   /// Candidate SWAPs into cand_scratch_: edges adjacent to the physical
@@ -178,10 +279,9 @@ class RoutingRun {
   void build_candidates(bool filter_locks) {
     cand_scratch_.clear();
     ++edge_stamp_;
-    for (const int gi : blocked_scratch_) {
-      const Gate& g = gates_[static_cast<std::size_t>(gi)];
-      for (int i = 0; i < 2; ++i) {
-        const Qubit p = pi_.physical(g.qubit(i));
+    for (const int bi : blocked_scratch_) {
+      const CfEntry& blocked = entries_[static_cast<std::size_t>(bi)];
+      for (const Qubit p : blocked.phys) {
         if (filter_locks && !locks_.is_free(p, now_)) continue;
         const auto& nbs = device_.graph.neighbors(p);
         const std::span<const int> edge_ids = device_.graph.incident_edge_ids(p);
@@ -191,7 +291,8 @@ class RoutingRun {
           const auto edge_id = static_cast<std::size_t>(edge_ids[k]);
           if (edge_seen_[edge_id] == edge_stamp_) continue;
           edge_seen_[edge_id] = edge_stamp_;
-          cand_scratch_.push_back(SwapCandidate{std::min(p, nb), std::max(p, nb)});
+          cand_scratch_.push_back(Candidate{
+              SwapCandidate{std::min(p, nb), std::max(p, nb)}, edge_ids[k]});
         }
       }
     }
@@ -207,12 +308,17 @@ class RoutingRun {
     ++stats_.swaps_inserted;
   }
 
-  /// Mixed fidelity-aware score of cached candidate `i` (swap_cost set):
+  /// Mixed fidelity-aware score of candidate `i` (swap_cost set):
   /// alpha * H_basic + the model's per-edge bonus. Deterministic — every
-  /// term is a pure function of the candidate edge and the cached basic.
+  /// term is a pure function of the candidate edge and its cached basic.
   double score_of(std::size_t i) const {
-    return config_.alpha * static_cast<double>(prio_scratch_[i].basic) +
+    return config_.alpha * static_cast<double>(cached_priority(i).basic) +
            bonus_scratch_[i];
+  }
+
+  /// The cached priority of candidate `i`, current after every refresh.
+  const SwapPriority& cached_priority(std::size_t i) const {
+    return edge_priority_[static_cast<std::size_t>(cand_scratch_[i].edge)];
   }
 
   /// Index of the best candidate by cached priority (first strict maximum
@@ -223,16 +329,16 @@ class RoutingRun {
   std::size_t best_candidate() const {
     std::size_t best = 0;
     if (cost_ == nullptr) {
-      for (std::size_t i = 1; i < prio_scratch_.size(); ++i) {
-        if (prio_scratch_[i] > prio_scratch_[best]) best = i;
+      for (std::size_t i = 1; i < cand_scratch_.size(); ++i) {
+        if (cached_priority(i) > cached_priority(best)) best = i;
       }
       return best;
     }
     double best_score = score_of(0);
-    for (std::size_t i = 1; i < prio_scratch_.size(); ++i) {
+    for (std::size_t i = 1; i < cand_scratch_.size(); ++i) {
       const double score = score_of(i);
       if (score > best_score ||
-          (score == best_score && prio_scratch_[i] > prio_scratch_[best])) {
+          (score == best_score && cached_priority(i) > cached_priority(best))) {
         best = i;
         best_score = score;
       }
@@ -240,85 +346,73 @@ class RoutingRun {
     return best;
   }
 
-  /// Applies the chosen SWAP to the cached endpoints and re-prices exactly
-  /// the candidates whose neighborhood it touched. Priorities are stored as
+  /// Applies the chosen SWAP to the entries and re-prices the candidates
+  /// whose neighborhood it touched. The entries on the two swapped qubits
+  /// trade places, so their lists trade heads; both the old and new
+  /// positions of every moved entry are stamped, which stales exactly the
+  /// cached priorities that read one of those entries. Priorities are
   /// ⟨H_basic, H_fine − base⟩; the dropped base term is shared by every
   /// candidate under one mapping, so comparisons (and the basic > 0 gate)
   /// are unchanged.
   void refresh_after_swap(SwapCandidate chosen) {
-    ++qubit_stamp_;
-    auto mark = [&](Qubit q) {
-      qubit_marked_[static_cast<std::size_t>(q)] = qubit_stamp_;
-    };
-    auto transpose = [&](Qubit p) {
-      if (p == chosen.a) return chosen.b;
-      if (p == chosen.b) return chosen.a;
-      return p;
-    };
-    for (auto& [pa, pb] : endpoints_scratch_) {
-      if (pa == chosen.a || pa == chosen.b || pb == chosen.a ||
-          pb == chosen.b) {
-        // Both the old and new positions of a moved gate invalidate any
-        // candidate touching them.
-        mark(pa);
-        mark(pb);
-        pa = transpose(pa);
-        pb = transpose(pb);
-        mark(pa);
-        mark(pb);
+    ++version_;
+    for (const Qubit q : {chosen.a, chosen.b}) {
+      const Qubit to = q == chosen.a ? chosen.b : chosen.a;
+      for (int i = entry_head_[static_cast<std::size_t>(q)]; i >= 0;) {
+        CfEntry& e = entries_[static_cast<std::size_t>(i)];
+        const int side = e.phys[0] == q ? 0 : 1;
+        const Qubit other = e.phys[1 - side];
+        stamp(other);
+        i = e.next[side];
+        if (other != to) {
+          e.phys[side] = to;
+        } else if (q == chosen.b) {
+          // On both lists: left alone by the first walk, so this side
+          // test still holds, and transposed whole by the second.
+          std::swap(e.phys[0], e.phys[1]);
+        }
       }
     }
-    for (std::size_t i = 0; i < cand_scratch_.size(); ++i) {
-      const SwapCandidate& c = cand_scratch_[i];
-      if (qubit_marked_[static_cast<std::size_t>(c.a)] == qubit_stamp_ ||
-          qubit_marked_[static_cast<std::size_t>(c.b)] == qubit_stamp_) {
-        prio_scratch_[i] = swap_priority_delta(
-            endpoints_scratch_, dist_, device_.graph, c, config_.fine_priority);
-      }
-    }
+    std::swap(entry_head_[static_cast<std::size_t>(chosen.a)],
+              entry_head_[static_cast<std::size_t>(chosen.b)]);
+    stamp(chosen.a);
+    stamp(chosen.b);
+    for (const Candidate& c : cand_scratch_) priority(c);
   }
 
-  /// Drops candidates matching `drop` from cand_scratch_/prio_scratch_,
-  /// preserving relative order.
+  /// Drops candidates matching `drop` from cand_scratch_ (and their
+  /// bonuses), preserving relative order.
   template <typename Pred>
   void prune_candidates(Pred drop) {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < cand_scratch_.size(); ++i) {
-      if (drop(cand_scratch_[i])) continue;
+      if (drop(cand_scratch_[i].swap)) continue;
       cand_scratch_[kept] = cand_scratch_[i];
-      prio_scratch_[kept] = prio_scratch_[i];
       if (cost_ != nullptr) bonus_scratch_[kept] = bonus_scratch_[i];
       ++kept;
     }
     cand_scratch_.resize(kept);
-    prio_scratch_.resize(kept);
     if (cost_ != nullptr) bonus_scratch_.resize(kept);
   }
 
   bool swap_step() {
-    collect_blocked();
+    scan_front();
     if (blocked_scratch_.empty()) return false;
     build_candidates(config_.context_aware);
-    collect_cf_endpoints();
-    prio_scratch_.clear();
-    for (const SwapCandidate& cand : cand_scratch_) {
-      prio_scratch_.push_back(swap_priority_delta(
-          endpoints_scratch_, dist_, device_.graph, cand,
-          config_.fine_priority));
-    }
+    for (const Candidate& c : cand_scratch_) priority(c);
     if (cost_ != nullptr) {
       // Bonuses are per-edge constants (state-free by contract), so one
       // fill per pricing round survives every refresh_after_swap.
       bonus_scratch_.clear();
-      for (const SwapCandidate& cand : cand_scratch_) {
-        bonus_scratch_.push_back(cost_->bonus(cand.a, cand.b));
+      for (const Candidate& c : cand_scratch_) {
+        bonus_scratch_.push_back(cost_->bonus(c.swap.a, c.swap.b));
       }
     }
     bool inserted_any = false;
     while (!cand_scratch_.empty()) {
       const std::size_t best = best_candidate();
-      if (prio_scratch_[best].basic <= 0) break;
-      const SwapCandidate chosen = cand_scratch_[best];
+      if (cached_priority(best).basic <= 0) break;
+      const SwapCandidate chosen = cand_scratch_[best].swap;
       insert_swap(chosen);
       inserted_any = true;
       if (config_.context_aware) {
@@ -340,13 +434,13 @@ class RoutingRun {
   // -- Deadlock resolution ----------------------------------------------------
 
   void force_swap() {
-    collect_blocked();
+    scan_front();
     // live_count > 0 and nothing launched with all qubits free implies at
     // least one CF two-qubit gate is blocked by connectivity.
     CODAR_ENSURES(!blocked_scratch_.empty());
     ++consecutive_forced_;
     if (consecutive_forced_ > config_.stagnation_threshold) {
-      escape_swap(blocked_scratch_.front());
+      escape_swap(entries_[static_cast<std::size_t>(blocked_scratch_.front())]);
       return;
     }
     build_candidates(config_.context_aware);
@@ -355,21 +449,19 @@ class RoutingRun {
     // (forcing an H_basic = 0 SWAP and its inverse would ping-pong).
     if (cand_scratch_.size() > 1) {
       std::erase_if(cand_scratch_,
-                    [&](const SwapCandidate& c) { return c == last_forced_; });
+                    [&](const Candidate& c) { return c.swap == last_forced_; });
     }
-    collect_cf_endpoints();
     std::size_t best = 0;
     SwapPriority best_priority;
     double best_score = 0.0;
     for (std::size_t i = 0; i < cand_scratch_.size(); ++i) {
-      const SwapPriority p =
-          swap_priority_delta(endpoints_scratch_, dist_, device_.graph,
-                              cand_scratch_[i], config_.fine_priority);
+      const SwapCandidate& cand = cand_scratch_[i].swap;
+      const SwapPriority p = priority(cand_scratch_[i]);
       const double score =
           cost_ == nullptr
               ? 0.0
               : config_.alpha * static_cast<double>(p.basic) +
-                    cost_->bonus(cand_scratch_[i].a, cand_scratch_[i].b);
+                    cost_->bonus(cand.a, cand.b);
       const bool improves =
           cost_ == nullptr
               ? p > best_priority
@@ -381,17 +473,16 @@ class RoutingRun {
         best_score = score;
       }
     }
-    last_forced_ = cand_scratch_[best];
-    insert_swap(cand_scratch_[best]);
+    last_forced_ = cand_scratch_[best].swap;
+    insert_swap(last_forced_);
     ++stats_.forced_swaps;
   }
 
   /// Stagnation escape: move the oldest blocked gate one step along a
   /// shortest path — monotone progress, so the router always terminates.
-  void escape_swap(int gate_index) {
-    const Gate& g = gates_[static_cast<std::size_t>(gate_index)];
-    const Qubit pa = pi_.physical(g.qubit(0));
-    const Qubit pb = pi_.physical(g.qubit(1));
+  void escape_swap(const CfEntry& blocked) {
+    const Qubit pa = blocked.phys[0];
+    const Qubit pb = blocked.phys[1];
     Qubit step = -1;
     for (const Qubit nb : device_.graph.neighbors(pa)) {
       if (step < 0 || dist_.distance(nb, pb) < dist_.distance(step, pb)) {
@@ -417,6 +508,8 @@ class RoutingRun {
   const arch::Device& device_;
   const CodarConfig& config_;
   const arch::DistanceOracle& dist_;  ///< Cached distance backend.
+  const int* dense_;                  ///< Flat V x V matrix, when dense.
+  std::size_t stride_;
   const SwapCostModel* cost_;  ///< Fidelity-aware scoring, or null (paper).
 
   std::vector<Gate> gates_;
@@ -434,15 +527,22 @@ class RoutingRun {
   // recycled wholesale across route() calls.
   common::ArenaVector<int> pass_scratch_;     ///< Front snapshot per launch pass.
   common::ArenaVector<Qubit> phys_scratch_;   ///< Physical operands of one gate.
-  common::ArenaVector<int> blocked_scratch_;  ///< Blocked CF gate indices.
-  common::ArenaVector<SwapCandidate> cand_scratch_;  ///< Candidate SWAP edges.
-  common::ArenaVector<SwapPriority> prio_scratch_;   ///< Cached priorities.
+  common::ArenaVector<CfEntry> entries_;       ///< CF 2q gates under π.
+  common::ArenaVector<CfEntry> prev_entries_;  ///< The previous pass's.
+  common::ArenaVector<int> entry_head_;  ///< Per physical qubit: first entry.
+  /// Per physical qubit: the version at which an entry on it last
+  /// appeared, left or moved. Starts above every edge's priced version.
+  common::ArenaVector<std::uint64_t> qubit_version_;
+  std::uint64_t version_ = 1;
+  common::ArenaVector<int> blocked_scratch_;  ///< Uncoupled entries_ indices.
+  common::ArenaVector<Candidate> cand_scratch_;  ///< Candidate SWAP edges.
   common::ArenaVector<double> bonus_scratch_;  ///< Per-edge cost bonuses.
-  common::ArenaVector<GateEndpoints> endpoints_scratch_;  ///< CF 2q under π.
+  common::ArenaVector<GateEndpoints> endpoints_scratch_;  ///< One pricing's.
   common::ArenaVector<std::uint32_t> edge_seen_;  ///< Edge-id dedup stamps.
   std::uint32_t edge_stamp_ = 0;
-  common::ArenaVector<std::uint32_t> qubit_marked_;  ///< Re-price marks.
-  std::uint32_t qubit_stamp_ = 0;
+  /// Per edge id: the cached priority and the version it was priced at.
+  common::ArenaVector<SwapPriority> edge_priority_;
+  common::ArenaVector<std::uint64_t> edge_priced_;
 
   SwapCandidate last_forced_{};
   int consecutive_forced_ = 0;

@@ -9,6 +9,7 @@
 // I/O fields. Both front ends set the knobs through one table,
 // routing_knobs() below.
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -108,17 +109,18 @@ struct RoutingKnob {
   enum class Kind {
     kOn,       ///< A switch; the CLI flag takes no value and sets true.
     kOff,      ///< A switch; the CLI flag takes no value and sets false.
-    kInt,      ///< An integer >= min that fits an int.
+    kInt,      ///< A decimal integer >= min that fits an int, as text.
     kSeed,     ///< A decimal integer from 0 to 2^64 - 1, as text.
     kNumber,   ///< A finite number >= min.
     kMapping,  ///< A MappingRegistry name.
   };
-  /// The value a front end converted: bool for switches, long long for
-  /// kInt, double for kNumber, the name for kMapping. A kSeed value is
-  /// the token itself (argv text, or a JSON number's raw text: a double
-  /// cannot hold every seed), which set() parses with one grammar for
-  /// both front ends: digits only, so "-1", "1.5" and "1e3" are refused.
-  using Value = std::variant<bool, long long, double, std::string>;
+  /// The value a front end converted: bool for switches, double for
+  /// kNumber, the name for kMapping. A kInt or kSeed value is the token
+  /// itself (argv text, or a JSON number's raw text: a double cannot hold
+  /// every seed), which set() parses with one grammar for both front ends
+  /// (parse_text below): an optional '-' and digits only, so "8.0" and
+  /// "1e3" are refused, and "-1" too for a seed.
+  using Value = std::variant<bool, double, std::string>;
   using Field =
       std::variant<bool*, int*, std::uint64_t*, double*, std::string*>;
 
@@ -135,6 +137,22 @@ struct RoutingKnob {
   void set(RoutingSpec& spec, const Value& value,
            const std::string& name) const;
 };
+
+/// Parses the whole of `text` as a T with std::from_chars (for integers:
+/// an optional '-' for signed T, then decimal digits), or throws
+/// UsageError "NAME expects WHAT, got 'TEXT'". The one number grammar of
+/// both command lines and of serve's knob tokens.
+template <typename T>
+T parse_text(const std::string& name, const std::string& text,
+             const char* what) {
+  T result{};
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), result);
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    throw UsageError(name + " expects " + what + ", got '" + text + "'");
+  }
+  return result;
+}
 
 /// Every built-in routing knob, in the order of the CLI help.
 std::span<const RoutingKnob> routing_knobs();

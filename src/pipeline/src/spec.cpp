@@ -1,7 +1,6 @@
 #include "codar/pipeline/spec.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "codar/common/json.hpp"
@@ -51,20 +50,6 @@ constexpr RoutingKnob kKnobs[] = {
      [](RoutingSpec& s) -> Field { return &s.fid.gamma; }, 0},
 };
 
-/// Parses the whole of `text` as a T, or throws UsageError naming the
-/// knob as `name`.
-template <typename T>
-T parse_text(const std::string& name, const std::string& text,
-             const char* what) {
-  T result{};
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), result);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    throw UsageError(name + " expects " + what + ", got '" + text + "'");
-  }
-  return result;
-}
-
 }  // namespace
 
 void RoutingKnob::set(RoutingSpec& spec, const Value& value,
@@ -81,7 +66,8 @@ void RoutingKnob::set(RoutingSpec& spec, const Value& value,
       *std::get<bool*>(target) = std::get<bool>(value);
       return;
     case Kind::kInt: {
-      const long long n = std::get<long long>(value);
+      const auto n = parse_text<long long>(name, std::get<std::string>(value),
+                                           "an integer");
       check_min(static_cast<double>(n));
       if (n < std::numeric_limits<int>::min() ||
           n > std::numeric_limits<int>::max()) {
@@ -127,12 +113,10 @@ bool set_knob_flag(RoutingSpec& spec, const std::string& flag,
     case Kind::kOff:
       v = knob->kind == Kind::kOn;
       break;
-    case Kind::kInt:
-      v = parse_text<long long>(flag, value(), "an integer");
-      break;
     case Kind::kNumber:
       v = parse_text<double>(flag, value(), "a finite number");
       break;
+    case Kind::kInt:
     case Kind::kSeed:
     case Kind::kMapping:
       v = value();

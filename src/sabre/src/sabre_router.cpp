@@ -264,24 +264,25 @@ class SabreRun {
   }
 
   /// The integer distance change of every F/E term on logical qubit `lq`
-  /// under SWAP (sa, sb), skipping terms that also act on `skip` (already
-  /// counted through that qubit's list).
-  void reprice(Qubit lq, Qubit skip, Qubit sa, Qubit sb,
-               std::int64_t& front_sum, std::int64_t& ext_sum) const {
+  /// when the SWAP moves it to physical `dest`. A term's other operand
+  /// stays put unless it is `partner` (the qubit moving the other way),
+  /// and a term on both only trades ends, which leaves its distance
+  /// unchanged — so each counted term is d(dest, p_other) − distance, read
+  /// from dest's row.
+  void reprice(Qubit lq, Qubit partner, Qubit dest, std::int64_t& front_sum,
+               std::int64_t& ext_sum) const {
     if (lq < 0) return;
-    auto moved = [&](Qubit p) {
-      if (p == sa) return sb;
-      if (p == sb) return sa;
-      return p;
-    };
+    const int* row =
+        dense_ == nullptr ? nullptr
+                          : dense_ + static_cast<std::size_t>(dest) * stride_;
     for (int t = s_.head[static_cast<std::size_t>(lq)]; t >= 0;) {
       const Term& term = s_.terms[static_cast<std::size_t>(t)];
       const int side = term.logical[0] == lq ? 0 : 1;
-      if (skip < 0 || (term.logical[0] != skip && term.logical[1] != skip)) {
-        const int delta =
-            distance(moved(term.physical[0]), moved(term.physical[1])) -
-            term.distance;
-        (term.in_front ? front_sum : ext_sum) += delta;
+      if (term.logical[1 - side] != partner) {
+        const Qubit other = term.physical[1 - side];
+        const int d = row != nullptr ? row[static_cast<std::size_t>(other)]
+                                     : dist_.distance(dest, other);
+        (term.in_front ? front_sum : ext_sum) += d - term.distance;
       }
       t = term.next[side];
     }
@@ -317,8 +318,8 @@ class SabreRun {
       std::int64_t ext_sum = ext_base;
       const Qubit la = pi_.logical(sa);
       const Qubit lb = pi_.logical(sb);
-      reprice(la, -1, sa, sb, front_sum, ext_sum);
-      reprice(lb, la, sa, sb, front_sum, ext_sum);
+      reprice(la, lb, sb, front_sum, ext_sum);
+      reprice(lb, la, sa, front_sum, ext_sum);
       const double front_cost = static_cast<double>(front_sum) / front_size;
       const double ext_cost =
           ext_terms == 0 ? 0.0 : static_cast<double>(ext_sum) / ext_size;

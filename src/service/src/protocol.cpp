@@ -1,7 +1,6 @@
 #include "codar/service/protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -43,19 +42,9 @@ void set_option(pipeline::RoutingSpec& opts, const std::string& key,
       if (!v.is_bool()) bad(name + " must be a boolean");
       value = v.as_bool();
       break;
-    case Kind::kInt: {
-      // JSON numbers are doubles: take the integral ones that convert
-      // exactly.
-      if (!v.is_number()) bad(name + " must be an integer");
-      const double d = v.as_number();
-      if (d != std::floor(d) || std::abs(d) > 9.0e15) {
-        bad(name + " must be an integer");
-      }
-      value = static_cast<long long>(d);
-      break;
-    }
+    case Kind::kInt:
     case Kind::kSeed:
-      // The raw token, parsed as the CLI parses --seed.
+      // The raw token, parsed as the CLI parses the flag's text.
       if (!v.is_number()) bad(name + " must be an integer");
       value = v.raw_number();
       break;

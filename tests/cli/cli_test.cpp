@@ -181,10 +181,17 @@ std::vector<KnobInput> invalid_inputs(const pipeline::RoutingKnob& knob) {
     case Kind::kOff:
       return {{{}, "1"}};
     case Kind::kInt: {
+      // Past either end of the row's range, and the fractional and
+      // exponent spellings of an in-range integer.
       const std::string low = std::to_string(int_floor(knob) - 1);
       const std::string high =
           std::to_string(std::numeric_limits<int>::max() + 1LL);
-      return {{{knob.flag, low}, low}, {{knob.flag, high}, high}};
+      std::vector<KnobInput> past;
+      for (const std::string& n : {low, high, std::string("8.0"),
+                                   std::string("1e3")}) {
+        past.push_back({{knob.flag, n}, n});
+      }
+      return past;
     }
     case Kind::kSeed: {
       // -1, 2^64, and the non-integer and exponent spellings.

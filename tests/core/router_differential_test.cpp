@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "codar/arch/device.hpp"
+#include "codar/arch/device_json.hpp"
 #include "codar/core/codar_router.hpp"
+#include "codar/cost/swap_cost.hpp"
+#include "codar/pipeline/spec.hpp"
 #include "codar/qasm/writer.hpp"
 #include "codar/workloads/generators.hpp"
 #include "support/rescan_router.hpp"
@@ -70,7 +76,7 @@ arch::Device device_by_name(const std::string& name) {
 
 class RouterDifferential : public ::testing::TestWithParam<DiffCase> {};
 
-// 13 circuit cases x 4 config variants = 52 differentially routed circuits,
+// 13 circuit cases x 5 config variants = 65 differentially routed circuits,
 // plus the fenced/named-workload cases below.
 TEST_P(RouterDifferential, MatchesRescanOracleAcrossConfigs) {
   const DiffCase& tc = GetParam();
@@ -92,7 +98,14 @@ TEST_P(RouterDifferential, MatchesRescanOracleAcrossConfigs) {
   blind.duration_aware = false;
   blind.fine_priority = false;
 
-  for (const CodarConfig& config : {full, tight_window, no_commut, blind}) {
+  // Lock-blind alone: SWAPs are chosen on busy qubits and start after
+  // `now`, with real durations and the fine priority still on — where a
+  // cached priority or lock shortcut would drift first.
+  CodarConfig lock_blind;
+  lock_blind.context_aware = false;
+
+  for (const CodarConfig& config :
+       {full, tight_window, no_commut, blind, lock_blind}) {
     expect_same_routing(dev, config, c);
   }
 }
@@ -152,6 +165,35 @@ TEST(RouterDifferential, LongCircuitsSlideTheDefaultWindow) {
   expect_same_routing(tokyo, CodarConfig{}, workloads::ising_trotter(16, 16));
   expect_same_routing(tokyo, CodarConfig{},
                       workloads::random_circuit(16, 1500, 0.5, 44));
+}
+
+TEST(RouterDifferential, CodarFidOnCalibratedDevicesMatchesOracle) {
+  // codar-fid at the default weights: per-edge bonuses from the calibrated
+  // fidelities and SWAP durations, and locks from the calibrated
+  // durations, on both calibrated example devices.
+  const pipeline::RoutingSpec::FidWeights weights;
+  for (const char* file : {"tokyo_calibrated.json", "tokyo-noisy.json"}) {
+    SCOPED_TRACE(file);
+    const arch::Device dev = arch::load_device_file(
+        std::string(CODAR_SOURCE_ROOT) + "/examples/devices/" + file);
+    CodarConfig fid;
+    fid.alpha = weights.alpha;
+    fid.swap_cost = std::make_shared<const cost::SwapCost>(dev, weights.beta,
+                                                           weights.gamma);
+    CodarConfig fid_lock_blind = fid;
+    fid_lock_blind.context_aware = false;
+    CodarConfig fid_duration_blind = fid;
+    fid_duration_blind.duration_aware = false;
+    const Circuit fenced =
+        with_fences(workloads::random_circuit(16, 250, 0.4, 46));
+    for (const CodarConfig& config :
+         {fid, fid_lock_blind, fid_duration_blind}) {
+      expect_same_routing(dev, config, workloads::qft(12));
+      expect_same_routing(dev, config,
+                          workloads::random_circuit(20, 300, 0.5, 45));
+      expect_same_routing(dev, config, fenced);
+    }
+  }
 }
 
 }  // namespace

@@ -4,13 +4,19 @@
 // differential-test oracle. This is the original RoutingRun from
 // src/core/src/codar_router.cpp before the event-driven rewrite: the CF set
 // is recomputed by a full front-window rescan after every retirement and
-// swap_step reallocates its candidate/endpoint vectors each call. It links
-// the production QubitLockBank (now heap-based internally; lock *values*
-// are identical to the old linear scan, and this loop's queries are
-// monotone, so the bank swap does not change oracle behavior). Slow by
-// design — its only job is to define the reference routing behavior the
-// incremental router must reproduce gate-for-gate (same output circuit,
-// same swaps_inserted, same router_makespan).
+// swap_step reallocates its candidate/endpoint vectors each call. Its
+// locks are the original linear scan (ScanLockBank below), not the
+// production QubitLockBank and its expiry heap, so a shortcut in the heap
+// shows up as a difference. Slow by design — its only job is to define the
+// reference routing behavior the incremental router must reproduce
+// gate-for-gate (same output circuit, same swaps_inserted, same
+// router_makespan).
+//
+// Two later features of the production router are ported in their plain
+// form: locks take Device::duration() of the physical operands (per-edge
+// and per-qubit calibration), and the codar-fid scoring hook ranks
+// candidates by alpha * H_basic + swap_cost->bonus(a, b) with
+// ⟨H_basic, H_fine⟩ breaking exact ties, in swap_step and force_swap.
 //
 // Deliberately NOT kept in sync with stats-level fixes in the production
 // router (cycles_simulated here still counts loop iterations, gates_routed
@@ -18,6 +24,7 @@
 // swap count, and makespan, which the rewrite must not change.
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -25,22 +32,54 @@
 #include "codar/core/codar_router.hpp"
 #include "codar/core/commutativity.hpp"
 #include "codar/core/heuristic.hpp"
-#include "codar/core/qubit_lock.hpp"
 #include "codar/core/routing_result.hpp"
 #include "codar/ir/decompose.hpp"
 #include "codar/layout/layout.hpp"
 
 namespace codar::testing {
 
+/// Per-qubit lock times t_end with the original O(Q) expiry scan.
+class ScanLockBank {
+ public:
+  explicit ScanLockBank(int num_qubits)
+      : t_end_(static_cast<std::size_t>(num_qubits), 0) {}
+
+  arch::Duration t_end(ir::Qubit q) const {
+    return t_end_[static_cast<std::size_t>(q)];
+  }
+  bool is_free(ir::Qubit q, arch::Duration now) const {
+    return t_end(q) <= now;
+  }
+  bool all_free(std::span<const ir::Qubit> qubits, arch::Duration now) const {
+    return std::all_of(qubits.begin(), qubits.end(),
+                       [&](ir::Qubit q) { return is_free(q, now); });
+  }
+  void lock(std::span<const ir::Qubit> qubits, arch::Duration now,
+            arch::Duration duration) {
+    for (const ir::Qubit q : qubits) {
+      t_end_[static_cast<std::size_t>(q)] = now + duration;
+    }
+  }
+  /// Earliest lock expiry strictly after `now`, or `now` when none.
+  arch::Duration next_expiry_after(arch::Duration now) const {
+    arch::Duration next = now;
+    for (const arch::Duration t : t_end_) {
+      if (t > now && (next == now || t < next)) next = t;
+    }
+    return next;
+  }
+
+ private:
+  std::vector<arch::Duration> t_end_;
+};
+
 /// Working state of one oracle route() invocation (the old RoutingRun).
 class RescanRoutingRun {
  public:
   RescanRoutingRun(const arch::Device& device, const core::CodarConfig& config,
-                   const arch::DurationMap& lock_durations,
                    const ir::Circuit& input, const layout::Layout& initial)
       : device_(device),
         config_(config),
-        lock_dur_(lock_durations),
         gates_(input.gates().begin(), input.gates().end()),
         alive_(gates_.size(), true),
         live_count_(gates_.size()),
@@ -156,7 +195,7 @@ class RescanRoutingRun {
           continue;
         }
         out_.add(phys);
-        locks_.lock(phys.qubits(), now_, lock_dur_.of(g));
+        locks_.lock(phys.qubits(), now_, device_.duration(g, phys.qubits()));
         retire(gi);
         launched = true;
       }
@@ -221,9 +260,37 @@ class RescanRoutingRun {
         std::max({now_, locks_.t_end(cand.a), locks_.t_end(cand.b)});
     out_.swap(cand.a, cand.b);
     const ir::Qubit pair[] = {cand.a, cand.b};
-    locks_.lock(pair, start, lock_dur_.of(ir::GateKind::kSwap));
+    locks_.lock(pair, start, device_.duration(ir::GateKind::kSwap, pair));
     pi_.swap_physical(cand.a, cand.b);
     ++stats_.swaps_inserted;
+  }
+
+  /// The first best candidate: by ⟨H_basic, H_fine⟩, or with a swap_cost
+  /// model by alpha * H_basic + bonus, that priority breaking exact ties.
+  const core::SwapCandidate* best_of(
+      const std::vector<core::SwapCandidate>& candidates,
+      core::SwapPriority& best_priority) const {
+    const std::vector<core::GateEndpoints> endpoints = cf_two_qubit_endpoints();
+    const core::SwapCandidate* best = nullptr;
+    double best_score = 0.0;
+    for (const core::SwapCandidate& cand : candidates) {
+      const core::SwapPriority p = core::swap_priority(
+          endpoints, device_.graph, cand, config_.fine_priority);
+      double score = 0.0;
+      bool improves = p > best_priority;
+      if (config_.swap_cost != nullptr) {
+        score = config_.alpha * static_cast<double>(p.basic) +
+                config_.swap_cost->bonus(cand.a, cand.b);
+        improves = score > best_score ||
+                   (score == best_score && p > best_priority);
+      }
+      if (best == nullptr || improves) {
+        best = &cand;
+        best_priority = p;
+        best_score = score;
+      }
+    }
+    return best;
   }
 
   bool swap_step() {
@@ -234,18 +301,8 @@ class RescanRoutingRun {
         build_candidates(blocked, config_.context_aware);
     bool inserted_any = false;
     while (!candidates.empty()) {
-      const std::vector<core::GateEndpoints> endpoints =
-          cf_two_qubit_endpoints();
-      const core::SwapCandidate* best = nullptr;
       core::SwapPriority best_priority;
-      for (const core::SwapCandidate& cand : candidates) {
-        const core::SwapPriority p = core::swap_priority(
-            endpoints, device_.graph, cand, config_.fine_priority);
-        if (best == nullptr || p > best_priority) {
-          best = &cand;
-          best_priority = p;
-        }
-      }
+      const core::SwapCandidate* best = best_of(candidates, best_priority);
       if (best == nullptr || best_priority.basic <= 0) break;
       const core::SwapCandidate chosen = *best;
       insert_swap(chosen);
@@ -281,17 +338,8 @@ class RescanRoutingRun {
         return c == last_forced_;
       });
     }
-    const std::vector<core::GateEndpoints> endpoints = cf_two_qubit_endpoints();
-    const core::SwapCandidate* best = nullptr;
     core::SwapPriority best_priority;
-    for (const core::SwapCandidate& cand : candidates) {
-      const core::SwapPriority p = core::swap_priority(
-          endpoints, device_.graph, cand, config_.fine_priority);
-      if (best == nullptr || p > best_priority) {
-        best = &cand;
-        best_priority = p;
-      }
-    }
+    const core::SwapCandidate* best = best_of(candidates, best_priority);
     last_forced_ = *best;
     insert_swap(*best);
     ++stats_.forced_swaps;
@@ -322,7 +370,6 @@ class RescanRoutingRun {
 
   const arch::Device& device_;
   const core::CodarConfig& config_;
-  const arch::DurationMap& lock_dur_;
 
   std::vector<ir::Gate> gates_;
   std::vector<int> pending_;
@@ -331,7 +378,7 @@ class RescanRoutingRun {
   std::size_t live_count_ = 0;
   layout::Layout pi_;
   layout::Layout initial_;
-  core::QubitLockBank locks_;
+  ScanLockBank locks_;
   arch::Duration now_ = 0;
   ir::Circuit out_;
   core::RouterStats stats_;
@@ -345,16 +392,20 @@ class RescanRoutingRun {
 };
 
 /// Routes `circuit` with the oracle loop, mirroring CodarRouter::route
-/// (same contracts, same duration-map selection).
+/// (same contracts; the duration-blind ablation clocks every gate with the
+/// uniform profile and no duration calibration).
 inline core::RoutingResult route_with_rescan(const arch::Device& device,
                                              const core::CodarConfig& config,
                                              const ir::Circuit& circuit,
                                              const layout::Layout& initial) {
   CODAR_EXPECTS(device.graph.is_fully_connected());
   CODAR_EXPECTS(ir::is_two_qubit_lowered(circuit));
-  const arch::DurationMap lock_durations =
-      config.duration_aware ? device.durations : arch::DurationMap::uniform();
-  RescanRoutingRun run(device, config, lock_durations, circuit, initial);
+  arch::Device clocked = device;
+  if (!config.duration_aware) {
+    clocked.durations = arch::DurationMap::uniform();
+    clocked.calibration.clear_durations();
+  }
+  RescanRoutingRun run(clocked, config, circuit, initial);
   return run.run();
 }
 
