@@ -20,6 +20,9 @@
 // single-flighted: the first requester probes disk / routes while later
 // ones block on the in-flight entry and reuse its result — a burst of
 // identical requests probes disk at most once and routes at most once.
+// peek() answers from resident entries only and never waits, so a caller
+// that must not block (serve's connection readers) can try the memory
+// tier first and leave everything else to get_or_route.
 // Disk I/O and routing both happen OUTSIDE every shard lock (the store has
 // its own internal mutex). Memory eviction is LRU under a global byte
 // budget split evenly across shards; the disk tier evicts under its own
@@ -30,6 +33,7 @@
 #include <functional>
 #include <list>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -92,6 +96,13 @@ class RouteCache {
       const CacheKey& key, const std::function<pipeline::RouteReport()>& route,
       bool* hit = nullptr);
 
+  /// Returns the memory tier's completed report for `key`, counted and
+  /// refreshed exactly like get_or_route's memory hit (one mem_hit, one
+  /// entry hit, front of the LRU). Otherwise — absent, still in flight,
+  /// only on disk, or a zero budget — returns nothing at once, moving no
+  /// counter: it never joins a route, probes disk or inserts.
+  std::optional<pipeline::RouteReport> peek(const CacheKey& key);
+
   /// Inserts an entry into the memory tier without touching any counter —
   /// warm-start preloading at serve boot. Evictions still count (they are
   /// real budget pressure).
@@ -146,6 +157,11 @@ class RouteCache {
 
   Shard& shard_for(const CacheKey& key);
   const Shard& shard_for(const CacheKey& key) const;
+  /// Serves a resident entry: counts the hit, moves it to the LRU front
+  /// and returns a copy of its report.
+  static pipeline::RouteReport serve_resident(Shard& shard,
+                                              std::list<Entry>::iterator entry)
+      CODAR_REQUIRES(shard.m);
   /// Inserts under the shard lock, then evicts LRU tails over budget.
   void insert_locked(Shard& shard, const CacheKey& key,
                      const pipeline::RouteReport& report)

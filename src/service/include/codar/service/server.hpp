@@ -2,9 +2,10 @@
 
 // The `codar serve` loop: a resident routing service that reads
 // newline-delimited JSON requests (see protocol.hpp) over a transport
-// (stdio, TCP or Unix-domain sockets — see transport.hpp), fans route
-// work out over a worker pool fronted by the content-addressed
-// RouteCache, and streams back one NDJSON response per request:
+// (stdio, TCP or Unix-domain sockets — see transport.hpp), answers the
+// content-addressed RouteCache's memory hits on the connection's reader,
+// fans the remaining route work out over a worker pool, and streams back
+// one NDJSON response per request:
 //
 //   {"id": 1, "cached": false, "result": { ...batch stats schema... }}
 //   {"id": 3, "requests": 2, "routed": 1, "errors": 0, "cache": {...}}
@@ -20,9 +21,10 @@
 //
 // Socket mode accepts any number of concurrent clients, each with
 // pipelined requests. Per connection, at most --max-inflight requests may
-// be accepted-but-unwritten: past that the server stops reading that
-// connection (backpressure) until responses drain, so one slow or
-// flooding client can neither exhaust memory nor starve the others.
+// be accepted-but-unwritten, and the parsed programs waiting for a worker
+// may hold about 2^20 gates: past either the server stops reading that
+// connection (backpressure) until they drain, so one slow or flooding
+// client pins bounded memory and cannot starve the others.
 // --idle-timeout-ms closes connections that go quiet; SIGTERM/SIGINT
 // stop accepting, drain every accepted request, flush responses and exit.
 

@@ -74,6 +74,22 @@ void RouteCache::insert_locked(Shard& shard, const CacheKey& key,
   }
 }
 
+pipeline::RouteReport RouteCache::serve_resident(
+    Shard& shard, std::list<Entry>::iterator entry) {
+  ++shard.mem_hits;
+  ++entry->hits;
+  shard.lru.splice(shard.lru.begin(), shard.lru, entry);
+  return entry->report;
+}
+
+std::optional<pipeline::RouteReport> RouteCache::peek(const CacheKey& key) {
+  Shard& shard = shard_for(key);
+  const common::MutexLock lock(shard.m);
+  const auto it = shard.index.find(key);
+  if (it == shard.index.end()) return std::nullopt;
+  return serve_resident(shard, it->second);
+}
+
 void RouteCache::preload(const CacheKey& key,
                          const pipeline::RouteReport& report) {
   if (byte_budget_ == 0) return;
@@ -102,12 +118,8 @@ pipeline::RouteReport RouteCache::get_or_route(
   {
     const common::MutexLock lock(shard.m);
     if (const auto it = shard.index.find(key); it != shard.index.end()) {
-      ++shard.mem_hits;
-      ++it->second->hits;
-      // Refresh LRU position.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       if (hit) *hit = true;
-      return it->second->report;
+      return serve_resident(shard, it->second);
     }
     if (const auto it = shard.inflight.find(key);
         it != shard.inflight.end()) {

@@ -9,6 +9,7 @@
 #include <istream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -38,6 +39,13 @@ namespace {
 /// Reader-side poll slice: the longest a reader blocks in one read call
 /// before re-checking the shutdown flag and its idle budget.
 constexpr int kReadSliceMs = 200;
+
+/// Gates of parsed inline programs one connection may have waiting for,
+/// or held by, a worker before its reader stops reading: the largest
+/// program DESIGN.md §15 admits. A short line can expand to that many
+/// gates, so queued programs are bounded by what they hold, not by the
+/// bytes the client sent.
+constexpr std::size_t kQueuedGateBudget = std::size_t{1} << 20;
 
 /// Splits a Connection's byte stream into NDJSON lines, enforcing the
 /// oversized-frame cap and the idle timeout, and noticing shutdown between
@@ -138,30 +146,48 @@ class Server {
 
   /// One client connection. The write side is a bounded queue drained by
   /// at most one thread at a time (whoever enqueues into an idle queue
-  /// becomes the drainer), so a slow client occupies at most one worker.
-  /// `inflight` counts responses owed but not yet written — route
+  /// becomes the drainer), so a slow client blocks its own reader or one
+  /// worker. `inflight` counts responses owed but not yet written — route
   /// requests from acceptance, reader-generated error/stats lines from
   /// enqueue — and is the backpressure quantity: the reader stops reading
-  /// at max_inflight.
+  /// at max_inflight, or once its queued programs hold kQueuedGateBudget
+  /// gates.
   struct ClientConn {
     explicit ClientConn(std::unique_ptr<Connection> io_)
         : io(std::move(io_)) {}
 
     std::unique_ptr<Connection> io;
     common::Mutex m;
-    /// Signaled on every inflight decrement and on death, for the
-    /// reader's backpressure / barrier / drain waits.
+    /// Signaled on every inflight decrement, queued-gate release and on
+    /// death, for the reader's backpressure / barrier / drain waits.
     std::condition_variable_any cv;
     std::deque<std::string> write_queue CODAR_GUARDED_BY(m);
     std::size_t inflight CODAR_GUARDED_BY(m) = 0;
+    /// Gates of this connection's parsed programs in the worker queue or
+    /// being routed.
+    std::size_t queued_gates CODAR_GUARDED_BY(m) = 0;
     bool writing CODAR_GUARDED_BY(m) = false;  ///< A drainer is active.
     bool dead CODAR_GUARDED_BY(m) = false;     ///< Write side broken.
   };
 
-  /// One unit of routing work bound for one connection.
+  /// One route request bound for one connection, resolved on the reader:
+  /// a worker only has to look `key` up and route on a miss.
   struct Job {
-    ServeRequest req;
     std::shared_ptr<ClientConn> conn;
+    std::string id_json;
+    pipeline::RoutingSpec opts;
+    /// The request's name, else its suite name, else the parsed program's.
+    std::string display_name;
+    DeviceEntry device;
+    /// A memoized suite circuit (valid for the server's lifetime), or null
+    /// when `parsed` holds the request's inline program.
+    const ir::Circuit* suite_circuit = nullptr;
+    ir::Circuit parsed{0};
+    CacheKey key;
+
+    const ir::Circuit& circuit() const {
+      return suite_circuit != nullptr ? *suite_circuit : parsed;
+    }
   };
 
   /// `err` receives the persistent-cache startup note and asynchronous
@@ -330,23 +356,37 @@ class Server {
       return;
     }
     {
-      // Backpressure: at max_inflight accepted-but-unwritten requests the
-      // reader parks here — this connection's bytes stay in the socket
-      // buffer (and eventually push back on the client) instead of
-      // ballooning the server queue. Shutdown does not break the wait:
-      // workers keep draining during shutdown, and a parsed request is
-      // owed a response.
+      // Backpressure: at max_inflight accepted-but-unwritten requests, or
+      // with kQueuedGateBudget gates of parsed programs queued, the reader
+      // parks here — this connection's bytes stay in the socket buffer
+      // (and eventually push back on the client) instead of ballooning the
+      // server queue. Shutdown does not break the wait: workers keep
+      // draining during shutdown, and a parsed request is owed a response.
       const common::MutexLock lock(conn->m);
-      while (conn->inflight >= opts_.max_inflight && !conn->dead) {
+      while ((conn->inflight >= opts_.max_inflight ||
+              conn->queued_gates >= kQueuedGateBudget) &&
+             !conn->dead) {
         conn->cv.wait(conn->m);
       }
       if (conn->dead) return;  // peer gone; drop silently
       ++conn->inflight;
     }
     ++requests_;
+    // A memory hit or a request that does not resolve is answered right
+    // here; only a lookup that may route waits for a worker.
+    Job job;
+    job.conn = conn;
+    if (std::optional<std::string> response = resolve(std::move(req), job)) {
+      deliver(*conn, *response);
+      return;
+    }
+    if (!job.parsed.empty()) {
+      const common::MutexLock lock(conn->m);
+      conn->queued_gates += job.parsed.size();
+    }
     {
       const common::MutexLock lock(queue_mutex_);
-      queue_.push_back(Job{std::move(req), conn});
+      queue_.push_back(std::move(job));
     }
     queue_ready_.notify_one();
   }
@@ -361,7 +401,14 @@ class Server {
         job = std::move(queue_.front());
         queue_.pop_front();
       }
-      deliver(*job.conn, process(job.req));
+      const std::string response = route(job);
+      if (const std::size_t gates = job.parsed.size(); gates != 0) {
+        job.parsed = ir::Circuit(0);  // free the program, then its charge
+        const common::MutexLock lock(job.conn->m);
+        job.conn->queued_gates -= gates;
+        job.conn->cv.notify_all();
+      }
+      deliver(*job.conn, response);
     }
   }
 
@@ -417,56 +464,75 @@ class Server {
     c.m.unlock();
   }
 
-  std::string process(const ServeRequest& req) {
-    pipeline::RouteReport report;
-    bool cached = false;
-    // Resolved before the try block so error responses carry the same
-    // name a successful route would (the qasm-parsed name is refined
-    // below once parsing has succeeded).
-    std::string display_name =
-        !req.name.empty() ? req.name : req.suite_name;
+  /// The reader's half of a route request: resolves the device, then the
+  /// circuit (a memoized suite entry, or inline QASM parsed and
+  /// fingerprinted here), then the cache key, filling `job`. Returns the
+  /// response when the request is answered without a worker — a memory
+  /// hit, or a device or circuit that does not resolve — and nothing when
+  /// `job` must go to the queue.
+  std::optional<std::string> resolve(ServeRequest&& req, Job& job) {
+    job.id_json = std::move(req.id_json);
+    job.opts = std::move(req.opts);
+    // Set before anything can fail, so an error response carries the name
+    // a success would (refined below once inline QASM has parsed).
+    job.display_name = !req.name.empty() ? req.name : req.suite_name;
     try {
-      const DeviceEntry device = req.inline_device
-                                     ? inline_device_for(req.inline_device)
-                                     : device_for(req.opts.device);
-      // Resolve the circuit source. Suite entries are memoized together
-      // with their fingerprints, so the cache-hit fast path never copies
-      // a circuit or rehashes its gates; inline QASM has to be parsed
-      // (and therefore fingerprinted) fresh each time.
-      const ir::Circuit* circuit = nullptr;
-      ir::Circuit parsed(0);  // placeholder until a qasm request fills it
+      job.device = req.inline_device ? inline_device_for(req.inline_device)
+                                     : device_for(job.opts.device);
+      // Suite entries are memoized with their fingerprints, so a suite hit
+      // never copies a circuit or rehashes its gates; inline QASM has to be
+      // parsed (and therefore fingerprinted) fresh each time.
       std::uint64_t circuit_fp = 0;
       if (!req.suite_name.empty()) {
         const SuiteEntry& entry = suite_entry(req.suite_name);
-        circuit = &entry.circuit;
+        job.suite_circuit = &entry.circuit;
         circuit_fp = entry.fingerprint;
       } else {
-        parsed = qasm::parse(req.qasm);
-        circuit = &parsed;
-        circuit_fp = parsed.fingerprint();
-        if (display_name.empty()) display_name = parsed.name();
+        job.parsed = qasm::parse(req.qasm);
+        circuit_fp = job.parsed.fingerprint();
+        if (job.display_name.empty()) job.display_name = job.parsed.name();
       }
+      job.key = CacheKey{circuit_fp, job.device.fingerprint,
+                         options_fingerprint(job.opts)};
+    } catch (const std::exception& e) {
+      pipeline::RouteReport failed;
+      failed.error = e.what();
+      return envelope(job, std::move(failed), /*cached=*/false);
+    }
+    if (std::optional<pipeline::RouteReport> hit = cache_.peek(job.key)) {
+      return envelope(job, std::move(*hit), /*cached=*/true);
+    }
+    return std::nullopt;
+  }
 
-      const CacheKey key{circuit_fp, device.fingerprint,
-                         options_fingerprint(req.opts)};
+  /// The worker's half: the tiered lookup, routing on a double miss.
+  std::string route(const Job& job) {
+    pipeline::RouteReport report;
+    bool cached = false;
+    try {
       report = cache_.get_or_route(
-          key,
+          job.key,
           [&] {
-            return pipeline::route_circuit(*circuit, *device.device, req.opts,
-                                           /*keep_qasm=*/false);
+            return pipeline::route_circuit(job.circuit(), *job.device.device,
+                                           job.opts, /*keep_qasm=*/false);
           },
           &cached);
       if (!cached) ++routed_;
-      // The cache is content-addressed (names excluded from the circuit
-      // fingerprint), so a hit may carry another requester's label.
-      report.name = display_name;
     } catch (const std::exception& e) {
-      report.name = display_name;
       report.error = e.what();
     }
-    return "{\"id\": " + req.id_json +
+    return envelope(job, std::move(report), cached);
+  }
+
+  /// One route response line. The cache is content-addressed (names
+  /// excluded from the circuit fingerprint), so a hit may carry another
+  /// requester's label: every report is relabelled with this request's.
+  static std::string envelope(const Job& job, pipeline::RouteReport report,
+                              bool cached) {
+    report.name = job.display_name;
+    return "{\"id\": " + job.id_json +
            ", \"cached\": " + (cached ? "true" : "false") +
-           ", \"result\": " + pipeline::to_json(report, req.opts) + "}";
+           ", \"result\": " + pipeline::to_json(report, job.opts) + "}";
   }
 
   std::string stats_response(const ServeRequest& req) const {

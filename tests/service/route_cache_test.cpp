@@ -1,12 +1,16 @@
 // RouteCache unit tests: content-addressed keying, LRU eviction under a
 // byte budget, single-flight coalescing, counter correctness under
-// concurrent hammering, and the persistent disk tier (store::LogStore
-// behind the memory LRU).
+// concurrent hammering, the non-blocking memory-tier peek, and the
+// persistent disk tier (store::LogStore behind the memory LRU).
 
 #include "codar/service/route_cache.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
+#include <latch>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -261,6 +265,80 @@ TEST(RouteCache, ZeroBudgetDisablesMemoization) {
   EXPECT_EQ(c.entries, 0u);
 }
 
+TEST(RouteCache, PeekAnswersOnlyResidentEntries) {
+  const RouteReport sample = report_named("x", 0);
+  const std::size_t entry_bytes = RouteCache::report_bytes(sample);
+  RouteCache cache(2 * entry_bytes + entry_bytes / 2, /*num_shards=*/1);
+
+  // Absent: nothing, and no counter moves.
+  EXPECT_FALSE(cache.peek(key_of(1, 0, 0)).has_value());
+  CacheCounters c = cache.counters();
+  EXPECT_EQ(c.mem_hits + c.disk_hits + c.misses, 0u);
+
+  const RouteReport routed =
+      cache.get_or_route(key_of(1, 0, 0), [] { return report_named("a", 7); });
+  cache.get_or_route(key_of(2, 0, 0), [&] { return sample; });
+
+  // Resident: the report get_or_route returned, counted as one memory
+  // hit on the cache and on the entry.
+  const std::optional<RouteReport> peeked = cache.peek(key_of(1, 0, 0));
+  ASSERT_TRUE(peeked.has_value());
+  EXPECT_EQ(peeked->name, routed.name);
+  EXPECT_EQ(peeked->swaps, routed.swaps);
+  c = cache.counters();
+  EXPECT_EQ(c.mem_hits, 1u);
+  EXPECT_EQ(c.misses, 2u);
+  EXPECT_EQ(cache.entry_hits(key_of(1, 0, 0)), 1u);
+
+  // The peek refreshed key 1's recency: key 3 pushes the shard over
+  // budget and evicts key 2, the entry nobody looked at since.
+  cache.get_or_route(key_of(3, 0, 0), [&] { return sample; });
+  EXPECT_EQ(cache.counters().evictions, 1u);
+  EXPECT_TRUE(cache.peek(key_of(1, 0, 0)).has_value());
+  EXPECT_FALSE(cache.peek(key_of(2, 0, 0)).has_value());
+}
+
+TEST(RouteCache, PeekNeverWaitsForAnInflightRoute) {
+  RouteCache cache(1 << 20, /*num_shards=*/1);
+  const CacheKey key = key_of(4, 5, 6);
+  std::latch routing(1);
+  std::latch release(1);
+  std::thread owner([&] {
+    cache.get_or_route(key, [&] {
+      routing.count_down();
+      release.wait();
+      return report_named("slow", 3);
+    });
+  });
+  routing.wait();
+  // The owner is parked inside route: a peek must answer at once (a
+  // joining peek would block until the latch opens).
+  auto peeked = std::async(std::launch::async, [&] { return cache.peek(key); });
+  const bool answered = peeked.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  const CacheCounters during = cache.counters();
+  release.count_down();
+  owner.join();
+  EXPECT_TRUE(answered) << "peek waited on the in-flight route";
+  EXPECT_FALSE(peeked.get().has_value());
+  EXPECT_EQ(during.mem_hits + during.disk_hits + during.misses, 0u);
+
+  // Once the route completes the entry is resident and peek serves it.
+  const std::optional<RouteReport> done = cache.peek(key);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->swaps, 3u);
+  EXPECT_EQ(cache.counters().mem_hits, 1u);
+}
+
+TEST(RouteCache, PeekWithZeroBudgetAnswersNothing) {
+  RouteCache cache(0, /*num_shards=*/1);
+  cache.get_or_route(key_of(1, 1, 1), [] { return report_named("a", 1); });
+  EXPECT_FALSE(cache.peek(key_of(1, 1, 1)).has_value());
+  const CacheCounters c = cache.counters();
+  EXPECT_EQ(c.hits(), 0u);
+  EXPECT_EQ(c.misses, 1u);
+}
+
 TEST(RouteCache, ConcurrentHitMissCountingIsExact) {
   // N threads x M iterations over K distinct keys. Single-flight
   // guarantees each key routes exactly once; every other lookup must be
@@ -357,6 +435,33 @@ TEST_F(TieredRouteCacheTest, DiskTierServesAcrossCacheInstances) {
   EXPECT_EQ(c.disk_hits, 1u);
   EXPECT_EQ(c.mem_hits, 1u);
   EXPECT_EQ(c.misses, 0u);
+}
+
+TEST_F(TieredRouteCacheTest, PeekDoesNotProbeOrPromoteTheDiskTier) {
+  const CacheKey key = key_of(12, 23, 34);
+  {
+    auto log = open_store();
+    RouteCache cache(1 << 20, /*num_shards=*/1);
+    cache.attach_store(log.get());
+    cache.get_or_route(key, [] { return report_named("cold", 9); });
+  }
+  auto log = open_store();
+  RouteCache cache(1 << 20, /*num_shards=*/1);
+  cache.attach_store(log.get());
+  EXPECT_FALSE(cache.peek(key).has_value());
+  CacheCounters c = cache.counters();
+  EXPECT_EQ(c.entries, 0u);
+  EXPECT_EQ(c.mem_hits + c.disk_hits + c.misses, 0u);
+
+  // The entry is still only on disk: the next lookup is a disk hit.
+  bool hit = false;
+  const RouteReport r =
+      cache.get_or_route(key, [] { return report_named("never", 0); }, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(r.swaps, 9u);
+  c = cache.counters();
+  EXPECT_EQ(c.disk_hits, 1u);
+  EXPECT_EQ(c.mem_hits, 0u);
 }
 
 TEST_F(TieredRouteCacheTest, ErrorReportsAreNotPersisted) {

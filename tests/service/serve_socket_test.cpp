@@ -28,6 +28,8 @@
 #include "codar/cli/options.hpp"
 #include "codar/common/json.hpp"
 #include "codar/pipeline/device_registry.hpp"
+#include "codar/qasm/parser.hpp"
+#include "codar/qasm/writer.hpp"
 #include "codar/service/server.hpp"
 #include "codar/service/transport.hpp"
 #include "codar/workloads/suite.hpp"
@@ -122,7 +124,9 @@ TEST(ServeSocket, EightClientStormIsByteIdenticalToBatch) {
   // the full 71-benchmark suite over TCP; every per-request stats object
   // must equal the one-shot batch driver's bytes, and the cache counters
   // must be exact despite the concurrency (single-flight: every unique
-  // key routes exactly once across all clients).
+  // key routes exactly once across all clients). Odd clients send each
+  // circuit as inline QASM under its suite name, so readers parsing and
+  // peeking race the workers inserting the same keys.
   const ServeOptions sopts = tcp_options();
   const auto handle = start_serve(sopts);
 
@@ -133,19 +137,32 @@ TEST(ServeSocket, EightClientStormIsByteIdenticalToBatch) {
   const std::vector<RouteReport> reference =
       cli::run_batch(suite, device, sopts.defaults);
 
+  std::vector<std::string> by_name(suite.size());
+  std::vector<std::string> inline_qasm(suite.size());
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    by_name[i] = "\"suite_name\": " + json_quote(suite[i].name);
+    const std::string text = qasm::to_qasm(suite[i].circuit);
+    // Same content key as the suite entry: both spellings share a route.
+    ASSERT_EQ(qasm::parse(text).fingerprint(), suite[i].circuit.fingerprint())
+        << suite[i].name;
+    inline_qasm[i] = "\"qasm\": " + json_quote(text) +
+                     ", \"name\": " + json_quote(suite[i].name);
+  }
+
   constexpr int kClients = 8;
   std::vector<std::vector<std::string>> results(kClients);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
+      const std::vector<std::string>& source =
+          c % 2 == 0 ? by_name : inline_qasm;
       Client client(handle->endpoint());
       // Pipeline the whole suite in one burst — more requests than the
       // default --max-inflight, so the server's backpressure path runs.
       for (std::size_t i = 0; i < suite.size(); ++i) {
-        ASSERT_TRUE(client.send(
-            "{\"id\": " + std::to_string(i) + ", \"suite_name\": " +
-            json_quote(suite[i].name) + "}"));
+        ASSERT_TRUE(client.send("{\"id\": " + std::to_string(i) + ", " +
+                                source[i] + "}"));
       }
       std::map<std::string, std::string> by_id;
       for (std::size_t i = 0; i < suite.size(); ++i) {
@@ -192,6 +209,87 @@ TEST(ServeSocket, EightClientStormIsByteIdenticalToBatch) {
             static_cast<double>(unique.size()));
   EXPECT_EQ(stats.find("cache")->find("hits")->as_number(),
             static_cast<double>(kClients * suite.size() - unique.size()));
+}
+
+TEST(ServeSocket, HitIsNotQueuedBehindARoute) {
+  // One worker, busy routing a cache-busting request: a memory hit
+  // pipelined behind it on the same connection is answered by the
+  // connection's reader, before the route completes.
+  ServeOptions sopts = tcp_options();
+  sopts.defaults.threads = 1;
+  const auto handle = start_serve(sopts);
+  Client client(handle->endpoint());
+  const auto stats = [&](const char* id) {
+    std::string line;
+    EXPECT_TRUE(client.send("{\"id\": \"" + std::string(id) +
+                            "\", \"cmd\": \"stats\"}"));
+    EXPECT_TRUE(client.read_line(&line));
+    const Json doc = Json::parse(line);
+    return std::pair{doc.find("routed")->as_number(),
+                     doc.find("cache")->find("hits")->as_number()};
+  };
+
+  std::string line;
+  ASSERT_TRUE(client.send(R"({"id": 0, "suite_name": "ghz_3"})"));
+  ASSERT_TRUE(client.read_line(&line));
+  const auto [routed_before, hits_before] = stats("warm");
+
+  // A fresh seed busts the cache; the whole-circuit layout search makes
+  // the route take about 0.1 s in Release, far longer than answering a hit.
+  ASSERT_TRUE(client.send_raw(
+      "{\"id\": 1, \"suite_name\": \"random_16_20000\", \"options\": "
+      "{\"seed\": 4242, \"mapping_horizon\": 0}}\n"
+      "{\"id\": 2, \"suite_name\": \"ghz_3\"}\n"));
+  std::vector<std::string> order;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(client.read_line(&line));
+    const Json doc = Json::parse(line);
+    order.push_back(doc.find("id")->raw_number());
+    EXPECT_EQ(doc.find("cached")->as_bool(), order.back() == "2") << line;
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"2", "1"}))
+      << "the hit waited for the worker's route";
+
+  const auto [routed_after, hits_after] = stats("after");
+  EXPECT_EQ(routed_after, routed_before + 1);
+  EXPECT_EQ(hits_after, hits_before + 1);
+}
+
+TEST(ServeSocket, ReaderStopsAtTheQueuedGateBudget) {
+  // A short line can expand to 2^20 gates, so what a connection's queued
+  // misses hold is bounded by their gates, not by the bytes it sent: with
+  // that many gates queued behind the only worker, the reader stops
+  // reading, and a memory hit sent next waits until the worker is done
+  // with the route ahead of the program.
+  ServeOptions sopts = tcp_options();
+  sopts.defaults.threads = 1;
+  const auto handle = start_serve(sopts);
+  Client client(handle->endpoint());
+  std::string line;
+  ASSERT_TRUE(client.send(R"({"id": 0, "suite_name": "ghz_3"})"));
+  ASSERT_TRUE(client.read_line(&line));
+
+  std::string wide = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[65536];\n";
+  for (int i = 0; i < 16; ++i) wide += "h q;\n";  // 16 * 65536 = 2^20 gates
+  ASSERT_TRUE(client.send_raw(
+      "{\"id\": 1, \"suite_name\": \"random_16_20000\", \"options\": "
+      "{\"seed\": 4243, \"mapping_horizon\": 0}}\n"
+      "{\"id\": 2, \"qasm\": " +
+      json_quote(wide) +
+      "}\n"
+      "{\"id\": 3, \"suite_name\": \"ghz_3\"}\n"));
+  std::vector<std::string> order;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.read_line(&line));
+    const Json doc = Json::parse(line);
+    order.push_back(doc.find("id")->raw_number());
+    if (order.back() == "2") {
+      // Routing fails (enfield has 20 qubits); the program was held anyway.
+      EXPECT_NE(line.find("uses 65536 qubits"), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(order.front(), "1") << "the hit was read past a full gate budget";
+  EXPECT_EQ(std::count(order.begin(), order.end(), "3"), 1);
 }
 
 // -- Seeded load mixes -------------------------------------------------------

@@ -227,20 +227,55 @@ TEST(Serve, ErrorPathsProduceErrorResponses) {
   EXPECT_NE(index.at("\"weird \\\"id\\\"\"").find("\"error\""),
             std::string::npos);
   // Unknown suite name / QASM parse failure / unknown device: per-request
-  // error *results* in the batch schema (error field present).
-  for (const std::string id : {"1", "2", "3", "5"}) {
-    const std::string& line = index.at(id);
-    EXPECT_NE(line.find("\"error\": "), std::string::npos) << line;
-    EXPECT_NE(line.find("\"verified\": false"), std::string::npos) << line;
+  // error *results* in the batch schema, pinned byte for byte. The device
+  // resolves before the circuit (id 3 names a bad device and a bad
+  // program and reports the device), and an error carries the display
+  // name a success would (id 5), so failures stay correlatable.
+  const std::string tail =
+      R"(, "qubits": 0, "gates_in": 0, "gates_out": 0, "gates_routed": 0, )"
+      R"("barriers": 0, "swaps": 0, "forced_swaps": 0, "escape_swaps": 0, )"
+      R"("cycles": 0, "makespan": 0, "weighted_depth_in": 0, )"
+      R"("weighted_depth_out": 0, "est_success_probability": 1, )"
+      R"("log_esp": 0, "verified": false}})";
+  // The unknown-device message lists every registry preset; it is read
+  // from the registry, so adding a preset does not touch this test.
+  std::string unknown_device;
+  try {
+    pipeline::DeviceRegistry::instance().make("no_such_device");
+  } catch (const UsageError& e) {
+    unknown_device = e.what();
   }
-  // Error responses carry the same display name a success would, so
-  // failures stay correlatable by benchmark name.
-  EXPECT_NE(index.at("5").find("\"name\": \"ghz_3\""), std::string::npos);
+  ASSERT_EQ(unknown_device.rfind("unknown device 'no_such_device' (", 0), 0u)
+      << unknown_device;
+  EXPECT_EQ(index.at("1"),
+            R"({"id": 1, "cached": false, "result": {"name": )"
+            R"("no_such_benchmark", "device": "tokyo", "router": "codar", )"
+            R"("initial": "sabre", "error": "unknown suite benchmark )"
+            R"('no_such_benchmark'")" +
+                tail);
+  EXPECT_EQ(index.at("2"),
+            R"({"id": 2, "cached": false, "result": {"name": "", )"
+            R"("device": "tokyo", "router": "codar", "initial": "sabre", )"
+            R"("error": "qasm:1:23: expected ']', got ''")" +
+                tail);
+  EXPECT_EQ(index.at("3"),
+            R"({"id": 3, "cached": false, "result": {"name": "", )"
+            R"("device": "no_such_device", "router": "codar", )"
+            R"("initial": "sabre", "error": )" +
+                json_quote(unknown_device) + tail);
+  EXPECT_EQ(index.at("5"),
+            R"({"id": 5, "cached": false, "result": {"name": "ghz_3", )"
+            R"("device": "no_such_device", "router": "codar", )"
+            R"("initial": "sabre", "error": )" +
+                json_quote(unknown_device) + tail);
 
   const Json stats = Json::parse(index.at("4"));
   EXPECT_EQ(stats.find("errors")->as_number(), 2.0);   // malformed lines
   EXPECT_EQ(stats.find("requests")->as_number(), 4.0);
   EXPECT_EQ(stats.find("routed")->as_number(), 0.0);
+  // A request that does not resolve never reaches the cache.
+  EXPECT_EQ(stats.find("cache")->find("hits")->as_number(), 0.0);
+  EXPECT_EQ(stats.find("cache")->find("misses")->as_number(), 0.0);
 }
 
 TEST(Serve, TimingOptionKeepsCacheKeyButChangesRendering) {
