@@ -13,9 +13,16 @@
 # swap which of them routed, flipping "cached", so only each "result"
 # object and the two stats lines are compared.
 #
-# Prints one "DRIFT: THREADS id ID" line per differing response (and
-# "DRIFT: THREADS exit OLD NEW" for differing exit codes), then a summary,
-# and exits 1 on any drift (2 on a usage error).
+# A persistence pass follows: each binary serves the stream into its own
+# fresh --cache-dir, then each restarts on the other's directory and
+# serves it again at --threads 4, answering every route from the other
+# binary's records. Those two runs are compared like the --threads 4 pass,
+# and each must route nothing.
+#
+# Prints one "DRIFT: PASS id ID" line per differing response (and
+# "DRIFT: PASS exit OLD NEW" for differing exit codes, "DRIFT: persist
+# SIDE routed" for a restart that routed), where PASS is 1, 4 or persist,
+# then a summary, and exits 1 on any drift (2 on a usage error).
 set -u
 
 if [ $# -ne 2 ]; then
@@ -73,13 +80,17 @@ cat > "$tmp/stream.ndjson" <<EOF
 {"id": 33, "cmd": "stats"}
 EOF
 
-# Runs BINARY at THREADS and writes "ID<TAB>RESPONSE" lines sorted by id
-# to OUT (every id in the stream is a number).
+# Runs BINARY at THREADS (further arguments go to serve) and writes
+# "ID<TAB>RESPONSE" lines sorted by id to OUT (every id in the stream is a
+# number).
 run() {
-  "$1" serve --threads "$2" < "$tmp/stream.ndjson" > "$3.raw" 2>/dev/null
-  echo $? > "$3.exit"
+  local binary=$1 threads=$2 out=$3
+  shift 3
+  "$binary" serve --threads "$threads" "$@" < "$tmp/stream.ndjson" \
+    > "$out.raw" 2>/dev/null
+  echo $? > "$out.exit"
   awk '{ id = $0; sub(/^\{"id": /, "", id); sub(/,.*/, "", id); print id "\t" $0 }' \
-    "$3.raw" | sort -n -k1,1 > "$3"
+    "$out.raw" | sort -n -k1,1 > "$out"
 }
 
 # Prints one DRIFT line per id whose response differs or is missing.
@@ -97,28 +108,55 @@ compare() {
     }' "$2" "$3"
 }
 
+# Drops "cached" from both sides' responses: which of two requests for one
+# new key routed may differ between runs.
+drop_cached() {
+  for side in old new; do
+    sed -E 's/, "cached": (true|false), "result": /, "result": /' \
+      "$tmp/$side" > "$tmp/$side.results"
+    mv "$tmp/$side.results" "$tmp/$side"
+  done
+}
+
 drift=0
 responses=0
-for threads in 1 4; do
-  run "$old" "$threads" "$tmp/old"
-  run "$new" "$threads" "$tmp/new"
-  if [ "$threads" -gt 1 ]; then
-    for side in old new; do
-      sed -E 's/, "cached": (true|false), "result": /, "result": /' \
-        "$tmp/$side" > "$tmp/$side.results"
-      mv "$tmp/$side.results" "$tmp/$side"
-    done
-  fi
+# Counts the exit codes and responses of the runs left in $tmp/old and
+# $tmp/new under the pass label $1.
+tally() {
   if ! cmp -s "$tmp/old.exit" "$tmp/new.exit"; then
-    echo "DRIFT: $threads exit $(cat "$tmp/old.exit") $(cat "$tmp/new.exit")"
+    echo "DRIFT: $1 exit $(cat "$tmp/old.exit") $(cat "$tmp/new.exit")"
     drift=$((drift + 1))
   fi
-  lines=$(compare "$threads" "$tmp/old" "$tmp/new")
+  lines=$(compare "$1" "$tmp/old" "$tmp/new")
   if [ -n "$lines" ]; then
     echo "$lines"
     drift=$((drift + $(echo "$lines" | wc -l)))
   fi
   responses=$((responses + $(wc -l < "$tmp/old")))
+}
+
+for threads in 1 4; do
+  run "$old" "$threads" "$tmp/old"
+  run "$new" "$threads" "$tmp/new"
+  if [ "$threads" -gt 1 ]; then drop_cached; fi
+  tally "$threads"
 done
+
+mkdir "$tmp/old.dir" "$tmp/new.dir"
+run "$old" 1 "$tmp/old.fill" --cache-dir "$tmp/old.dir"
+run "$new" 1 "$tmp/new.fill" --cache-dir "$tmp/new.dir"
+run "$old" 4 "$tmp/old" --cache-dir "$tmp/new.dir"
+run "$new" 4 "$tmp/new" --cache-dir "$tmp/old.dir"
+for side in old new; do
+  # The closing stats line (id 33) of a restart that routed nothing.
+  if ! awk -F'\t' '$1 == 33 && /"routed": 0,/ { ok = 1 } END { exit !ok }' \
+      "$tmp/$side"; then
+    echo "DRIFT: persist $side routed"
+    drift=$((drift + 1))
+  fi
+done
+drop_cached
+tally persist
+
 echo "compare_serve: $drift of $responses responses drifted"
 [ "$drift" -eq 0 ]

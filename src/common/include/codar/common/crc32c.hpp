@@ -5,8 +5,9 @@
 // Chosen over plain CRC32 for its better error-detection properties on
 // storage payloads (it is what RocksDB, LevelDB, ext4 and iSCSI use).
 // Software table-driven implementation: ~1 GB/s, deterministic everywhere,
-// no SSE4.2 dependency — the store appends at most one record per *routed*
-// circuit, so checksum throughput is never on the hot path.
+// no SSE4.2 dependency. Appends checksum at most one record per *routed*
+// circuit, but every LogStore::open checksums every persisted byte, so
+// its throughput bounds how fast a store with a long history reopens.
 //
 // Streaming and one-shot forms. The streaming class is a plain value type
 // (no shared state), so concurrent use on distinct instances needs no

@@ -40,6 +40,12 @@ namespace {
 /// before re-checking the shutdown flag and its idle budget.
 constexpr int kReadSliceMs = 200;
 
+/// Serializes lines on the err stream: every server's store warnings and
+/// the socket front end's own lines. The `codar` binary unsyncs the
+/// standard streams from C stdio, and two threads writing an unsynced
+/// std::cerr at once would race.
+common::Mutex g_err_mutex;
+
 /// Gates of parsed inline programs one connection may have waiting for,
 /// or held by, a worker before its reader stops reading: the largest
 /// program DESIGN.md §15 admits. A short line can expand to that many
@@ -513,8 +519,13 @@ class Server {
       report = cache_.get_or_route(
           job.key,
           [&] {
-            return pipeline::route_circuit(job.circuit(), *job.device.device,
-                                           job.opts, /*keep_qasm=*/false);
+            // Cached nameless: every alias of the key then stores and counts
+            // the same bytes, whichever routed first; envelope() relabels.
+            pipeline::RouteReport routed = pipeline::route_circuit(
+                job.circuit(), *job.device.device, job.opts,
+                /*keep_qasm=*/false);
+            routed.name.clear();
+            return routed;
           },
           &cached);
       if (!cached) ++routed_;
@@ -525,8 +536,9 @@ class Server {
   }
 
   /// One route response line. The cache is content-addressed (names
-  /// excluded from the circuit fingerprint), so a hit may carry another
-  /// requester's label: every report is relabelled with this request's.
+  /// excluded from the circuit fingerprint) and holds reports nameless,
+  /// though a record an older binary persisted may still carry its
+  /// router's label: every report is labelled with this request's.
   static std::string envelope(const Job& job, pipeline::RouteReport report,
                               bool cached) {
     report.name = job.display_name;
@@ -674,15 +686,14 @@ class Server {
 
   /// Serializes store warnings onto the err stream (workers may warn
   /// concurrently — a corrupt record noticed on read, a compaction note).
-  void log_warning(const std::string& msg) CODAR_EXCLUDES(err_mutex_) {
-    const common::MutexLock lock(err_mutex_);
+  void log_warning(const std::string& msg) CODAR_EXCLUDES(g_err_mutex) {
+    const common::MutexLock lock(g_err_mutex);
     std::ostream& out = err_ != nullptr ? *err_ : std::cerr;
     out << "warning: " << msg << "\n";
   }
 
   const ServeOptions& opts_;
   std::ostream* err_;
-  common::Mutex err_mutex_;
   /// Optional persistent tier; declared before cache_ so the cache (which
   /// borrows the pointer) is destroyed first.
   std::unique_ptr<store::LogStore> store_;
@@ -787,7 +798,11 @@ int run_serve_socket(const ServeOptions& opts, std::ostream& err) {
     err << "error: " << e.what() << "\n";
     return 2;
   }
-  err << "listening on " << handle->endpoint() << " (SIGTERM drains)\n";
+  {
+    // Workers may already be logging store warnings.
+    const common::MutexLock lock(g_err_mutex);
+    err << "listening on " << handle->endpoint() << " (SIGTERM drains)\n";
+  }
 
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {

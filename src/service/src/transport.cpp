@@ -260,8 +260,9 @@ Fd unix_listen_fd(const ListenSpec& spec) {
 
 /// stdio transport: blocking stream reads (get() for the first byte,
 /// readsome() to drain whatever the streambuf already holds, so pipelined
-/// lines arrive in one chunk). Timeout slices are ignored — see the
-/// header contract.
+/// lines arrive in one chunk; std::cin has a buffer only once unsynced
+/// from C stdio, as the `codar` binary does). Timeout slices are ignored —
+/// see the header contract.
 class StreamConnection final : public Connection {
  public:
   StreamConnection(std::istream& in, std::ostream& out) : in_(in), out_(out) {}

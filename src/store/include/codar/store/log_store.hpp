@@ -162,6 +162,10 @@ class LogStore {
   std::size_t compact_locked() CODAR_REQUIRES(m_);
   bool read_payload(const Location& loc, std::string* payload) const
       CODAR_REQUIRES(m_);
+  /// Copies out the payload of `record` (the bytes read back for `loc`)
+  /// when its length and CRC still check out.
+  bool verified_payload(const char* record, const Location& loc,
+                        std::string* payload) const;
   common::RandomReadFile* reader_for(std::uint64_t segment) const
       CODAR_REQUIRES(m_);
   void warn(const std::string& message) const;

@@ -7,7 +7,6 @@
 
 #include "codar/common/crc32c.hpp"
 #include "codar/common/expects.hpp"
-#include "codar/common/fnv.hpp"
 
 namespace codar::store {
 
@@ -24,6 +23,9 @@ constexpr char kSegmentPrefix[] = "codar-";
 constexpr char kSegmentSuffix[] = ".seg";
 /// Sanity cap applied before trusting a length field from disk.
 constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
+/// What one refill of a SegmentReader reads. Small on purpose: servers
+/// that open their stores at the same time each hold one window.
+constexpr std::size_t kWindowBytes = 64u << 10;
 
 std::size_t record_bytes(std::size_t payload_len) {
   return kHeaderBytes + kKeyBytes + payload_len;
@@ -92,14 +94,61 @@ Fingerprint decode_key(const char* in) {
   return Fingerprint{get_u64(in), get_u64(in + 8), get_u64(in + 16)};
 }
 
+/// Reads one segment front to back through a bounded window: a refill is
+/// one pread of up to kWindowBytes, so a scan costs about one syscall per
+/// window instead of one or two per record. A span longer than the window
+/// is read whole.
+class SegmentReader {
+ public:
+  /// Reads `file`, whose first `end` bytes hold records.
+  SegmentReader(const common::RandomReadFile& file, std::uint64_t end)
+      : file_(file), end_(end) {}
+
+  /// The `size` bytes at `offset`, or nullptr when they cannot be read.
+  /// The view stays valid until the next call.
+  const char* view(std::uint64_t offset, std::size_t size) {
+    if (offset >= start_ && offset - start_ <= filled_ &&
+        size <= filled_ - (offset - start_)) {
+      return buf_.data() + (offset - start_);
+    }
+    // Refill from `offset`: a whole window while the segment holds one, and
+    // never less than the span asked for.
+    const std::uint64_t left = offset < end_ ? end_ - offset : 0;
+    const auto window =
+        static_cast<std::size_t>(std::min<std::uint64_t>(left, kWindowBytes));
+    std::size_t want = std::max(size, window);
+    if (buf_.size() < want) buf_.resize(want);
+    filled_ = 0;
+    // A window that cannot be read whole (the file shrank, or an I/O
+    // error) must not condemn a span that can still be read on its own.
+    if (!file_.read_at(offset, want, buf_.data())) {
+      if (want == size || !file_.read_at(offset, size, buf_.data())) {
+        return nullptr;
+      }
+      want = size;
+    }
+    start_ = offset;
+    filled_ = want;
+    return buf_.data();
+  }
+
+ private:
+  const common::RandomReadFile& file_;
+  const std::uint64_t end_;
+  std::string buf_;
+  std::uint64_t start_ = 0;  ///< File offset of buf_[0].
+  std::size_t filled_ = 0;   ///< Bytes of buf_ read from the file.
+};
+
 }  // namespace
 
 std::size_t FingerprintHash::operator()(const Fingerprint& fp) const {
-  common::Fnv1a h;
-  h.u64(fp.circuit);
-  h.u64(fp.device);
-  h.u64(fp.options);
-  return static_cast<std::size_t>(h.value());
+  // The three words are already 64-bit digests, so an odd multiplier per
+  // word (to tell the words apart) and a fold of the high half suffice.
+  const std::uint64_t h = fp.circuit * 0x9e3779b97f4a7c15ull ^
+                          fp.device * 0xc2b2ae3d27d4eb4full ^
+                          fp.options * 0x165667b19e3779f9ull;
+  return static_cast<std::size_t>(h ^ (h >> 32));
 }
 
 std::unique_ptr<LogStore> LogStore::open(const std::string& dir,
@@ -175,9 +224,10 @@ bool LogStore::recover_segment(std::uint64_t seq, const std::string& path) {
     return false;
   }
 
-  char magic[kMagicBytes];
-  if (size < kMagicBytes || !file->read_at(0, kMagicBytes, magic) ||
-      std::memcmp(magic, kMagic, kMagicBytes) != 0) {
+  SegmentReader reader(*file, size);
+  const char* magic = size < kMagicBytes ? nullptr
+                                         : reader.view(0, kMagicBytes);
+  if (magic == nullptr || std::memcmp(magic, kMagic, kMagicBytes) != 0) {
     warn("dropping segment with bad magic " + path);
     file.reset();
     common::remove_file(path);
@@ -186,26 +236,24 @@ bool LogStore::recover_segment(std::uint64_t seq, const std::string& path) {
   }
 
   std::uint64_t offset = kMagicBytes;
-  std::string body;
   while (offset < size) {
-    char header[kHeaderBytes];
-    bool good = false;
+    const char* record = nullptr;
     std::uint32_t payload_len = 0;
-    if (size - offset >= kHeaderBytes &&
-        file->read_at(offset, kHeaderBytes, header)) {
-      payload_len = get_u32(header);
-      const std::uint32_t want_crc = get_u32(header + 4);
-      if (payload_len <= kMaxPayloadBytes &&
-          size - offset - kHeaderBytes >= kKeyBytes + payload_len) {
-        body.resize(kKeyBytes + payload_len);
-        if (file->read_at(offset + kHeaderBytes, body.size(),
-                          body.data()) &&
-            common::crc32c(body) == want_crc) {
-          good = true;
+    if (size - offset >= kHeaderBytes) {
+      if (const char* header = reader.view(offset, kHeaderBytes)) {
+        payload_len = get_u32(header);
+        if (payload_len <= kMaxPayloadBytes &&
+            size - offset - kHeaderBytes >= kKeyBytes + payload_len) {
+          record = reader.view(offset, record_bytes(payload_len));
         }
       }
     }
-    if (!good) {
+    if (record != nullptr &&
+        common::crc32c(record + kHeaderBytes, kKeyBytes + payload_len) !=
+            get_u32(record + 4)) {
+      record = nullptr;
+    }
+    if (record == nullptr) {
       // Torn or corrupted record: everything after it is unreachable
       // (lengths chain), so truncate here and keep the prefix.
       warn("truncating " + path + " at byte " + std::to_string(offset) +
@@ -221,7 +269,7 @@ bool LogStore::recover_segment(std::uint64_t seq, const std::string& path) {
       }
       break;
     }
-    index_record(decode_key(body.data()), seq, offset, payload_len);
+    index_record(decode_key(record + kHeaderBytes), seq, offset, payload_len);
     ++counters_.recovered;
     offset += record_bytes(payload_len);
   }
@@ -293,20 +341,18 @@ bool LogStore::append_record(const Fingerprint& fp,
 void LogStore::index_record(const Fingerprint& fp, std::uint64_t segment,
                             std::uint64_t offset,
                             std::uint32_t payload_len) {
-  const auto it = index_.find(fp);
-  if (it != index_.end()) {
+  const auto [it, fresh] = index_.try_emplace(fp);
+  if (!fresh) {
     // Superseded: the old record's bytes become dead weight.
     live_bytes_ -= record_bytes(it->second.payload_len);
     order_.erase(it->second.order);
-    index_.erase(it);
   }
   order_.push_back(fp);
-  Location loc;
+  Location& loc = it->second;
   loc.segment = segment;
   loc.offset = offset;
   loc.payload_len = payload_len;
   loc.order = std::prev(order_.end());
-  index_.emplace(fp, loc);
   live_bytes_ += record_bytes(payload_len);
 }
 
@@ -416,22 +462,23 @@ common::RandomReadFile* LogStore::reader_for(std::uint64_t segment) const {
 bool LogStore::read_payload(const Location& loc, std::string* payload) const {
   common::RandomReadFile* file = reader_for(loc.segment);
   if (file == nullptr) return false;
-  // Re-read header + key + payload and re-verify the CRC: bit rot between
-  // open() and now must surface as a miss (re-route), not a wrong answer.
   std::string record;
   record.resize(record_bytes(loc.payload_len));
-  if (!file->read_at(loc.offset, record.size(), record.data())) {
-    return false;
-  }
-  if (get_u32(record.data()) != loc.payload_len) return false;
-  if (common::crc32c(record.data() + kHeaderBytes,
-                     record.size() - kHeaderBytes) !=
-      get_u32(record.data() + 4)) {
+  return file->read_at(loc.offset, record.size(), record.data()) &&
+         verified_payload(record.data(), loc, payload);
+}
+
+bool LogStore::verified_payload(const char* record, const Location& loc,
+                                std::string* payload) const {
+  // Re-verify the header and CRC: bit rot between open() and now must
+  // surface as a miss (re-route), not a wrong answer.
+  if (get_u32(record) != loc.payload_len) return false;
+  if (common::crc32c(record + kHeaderBytes, kKeyBytes + loc.payload_len) !=
+      get_u32(record + 4)) {
     warn("CRC mismatch reading record (bit rot?); treating as miss");
     return false;
   }
-  payload->assign(record, kHeaderBytes + kKeyBytes,
-                  record.size() - kHeaderBytes - kKeyBytes);
+  payload->assign(record + kHeaderBytes + kKeyBytes, loc.payload_len);
   return true;
 }
 
@@ -466,9 +513,23 @@ std::vector<std::pair<Fingerprint, std::string>> LogStore::recent_entries(
   // LRU leaves the hottest (most recently appended) most recently used.
   auto it = order_.end();
   std::advance(it, -static_cast<std::ptrdiff_t>(std::min(n, order_.size())));
+  // Append order is ascending (segment, offset), so one forward reader per
+  // segment reads the entries a window at a time.
+  std::optional<SegmentReader> reader;
+  std::uint64_t reader_segment = 0;
   for (; it != order_.end(); ++it) {
+    const Location& loc = index_.at(*it);
+    if (!reader || reader_segment != loc.segment) {
+      reader.reset();
+      const common::RandomReadFile* file = reader_for(loc.segment);
+      if (file == nullptr) continue;
+      reader.emplace(*file, segments_.at(loc.segment).bytes);
+      reader_segment = loc.segment;
+    }
+    const char* record =
+        reader->view(loc.offset, record_bytes(loc.payload_len));
     std::string payload;
-    if (read_payload(index_.at(*it), &payload)) {
+    if (record != nullptr && verified_payload(record, loc, &payload)) {
       entries.emplace_back(*it, std::move(payload));
     }
   }

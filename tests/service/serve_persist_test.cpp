@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "codar/common/json.hpp"
+#include "codar/qasm/writer.hpp"
 #include "codar/store/log_store.hpp"
 #include "codar/workloads/suite.hpp"
 
@@ -297,6 +298,44 @@ TEST_F(ServePersistTest, StatsReportDiskTierGauges) {
   EXPECT_EQ(disk->find("budget")->as_number(),
             static_cast<double>(std::size_t{1} << 30));
   EXPECT_EQ(disk->find("evictions")->as_number(), 0.0);
+}
+
+TEST_F(ServePersistTest, CachedBytesDoNotDependOnWhichAliasRoutedFirst) {
+  // A suite name and the same program sent inline share one cache key. The
+  // entry must not keep the name of whichever of them routed, or the
+  // memory tier's byte count and the persisted record would depend on the
+  // order the two arrive in.
+  std::string ghz_3;
+  for (const workloads::BenchmarkSpec& spec : workloads::benchmark_suite()) {
+    if (spec.name == "ghz_3") ghz_3 = qasm::to_qasm(spec.circuit);
+  }
+  ASSERT_FALSE(ghz_3.empty());
+  const std::string by_name = R"("suite_name": "ghz_3")";
+  const std::string by_content = "\"qasm\": " + json_quote(ghz_3);
+
+  const auto stats_after = [&](const std::string& first,
+                               const std::string& second,
+                               const std::string& subdir) {
+    ServeOptions opts = persistent_opts();
+    opts.defaults.threads = 1;
+    opts.cache_dir = (dir_ / subdir).string();
+    const ServeRun run = serve(opts, {"{\"id\": 1, " + first + "}",
+                                      "{\"id\": 2, " + second + "}",
+                                      R"({"id": 3, "cmd": "stats"})"});
+    EXPECT_EQ(run.exit_code, 0) << run.err;
+    const std::map<std::string, std::string> index = by_id(run.responses);
+    EXPECT_FALSE(cached_flag(index.at("1")));
+    EXPECT_TRUE(cached_flag(index.at("2")));
+    return Json::parse(index.at("3"));
+  };
+  const Json name_first = stats_after(by_name, by_content, "name-first");
+  const Json content_first = stats_after(by_content, by_name, "content-first");
+  EXPECT_EQ(cache_stat(name_first, "bytes"),
+            cache_stat(content_first, "bytes"));
+  const auto disk_bytes = [](const Json& stats) {
+    return stats.find("cache")->find("disk")->find("bytes")->as_number();
+  };
+  EXPECT_EQ(disk_bytes(name_first), disk_bytes(content_first));
 }
 
 }  // namespace
