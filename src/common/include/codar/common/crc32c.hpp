@@ -4,10 +4,11 @@
 // guarding every record in the persistent route-cache log (store::LogStore).
 // Chosen over plain CRC32 for its better error-detection properties on
 // storage payloads (it is what RocksDB, LevelDB, ext4 and iSCSI use).
-// Software table-driven implementation: ~1 GB/s, deterministic everywhere,
-// no SSE4.2 dependency. Appends checksum at most one record per *routed*
-// circuit, but every LogStore::open checksums every persisted byte, so
-// its throughput bounds how fast a store with a long history reopens.
+// Software table-driven implementation, deterministic everywhere, no SSE4.2
+// dependency: about 1.6 GB/s over the ~200-byte spans of route-report
+// records on a 4-vCPU container. Appends checksum at most one record per
+// *routed* circuit, but every LogStore::open checksums every persisted
+// byte, and that is now most of an open's time.
 //
 // Streaming and one-shot forms. The streaming class is a plain value type
 // (no shared state), so concurrent use on distinct instances needs no

@@ -34,8 +34,8 @@ class AppendFile {
   AppendFile& operator=(const AppendFile&) = delete;
 
   /// Writes all of `data` (retrying short writes / EINTR). Returns false
-  /// on a write error, after which the file's tail is undefined — the
-  /// store's CRC framing makes a partial record recoverable.
+  /// on a write error, after which the file may end in part of `data` —
+  /// the store cuts it back to its last whole record.
   bool append(const void* data, std::size_t size);
 
   /// fsync(2): force appended bytes to stable storage (machine-crash

@@ -16,15 +16,28 @@
 // throws when the directory is unusable (uncreatable, or flock-held by a
 // live process — see common::DirLock).
 //
-// The in-memory index (fingerprint → segment/offset) is rebuilt by
-// scanning segments oldest-first; a fingerprint appearing again later
-// supersedes its earlier record (last-write-wins), leaving the old bytes
-// as dead weight until compaction rewrites live records into a fresh
-// segment and deletes the originals. The active segment rotates past
-// `max_segment_bytes`; when live payload exceeds `max_total_bytes` the
-// oldest-appended entries are evicted (index-only — their bytes die at the
-// next compaction). Append order therefore approximates recency, which is
-// what warm-start preloading and eviction both lean on.
+// The in-memory index is rebuilt by scanning segments oldest-first; a
+// fingerprint appearing again later supersedes its earlier record
+// (last-write-wins), leaving the old bytes as dead weight until compaction
+// rewrites live records into a fresh segment and deletes the originals.
+// The active segment rotates past `max_segment_bytes`; when live payload
+// exceeds `max_total_bytes` the oldest-appended entries are evicted
+// (index-only — their bytes die at the next compaction). Append order
+// therefore approximates recency, which is what warm-start preloading and
+// eviction both lean on.
+//
+// The index is two flat arrays. Every indexed record has a 48-byte entry
+// (key, segment, offset, payload length, live flag) in one vector kept in
+// append order, which is ascending (segment, offset) order; an entry that
+// is superseded or evicted is only marked dead. A table of 32-bit entry
+// indices (power-of-two size, linear probing, load at most 3/4,
+// backward-shift deletion) finds a key's live entry. Eviction takes the
+// oldest live entry from a head cursor; once dead entries outnumber live
+// ones they are squeezed out of the vector and the table is rebuilt; warm
+// start and compaction walk the vector. That is about 55 bytes and no heap
+// node per record. The vector stops at 2^32 − 1 entries (one index value
+// marks an empty slot): at that cap dead entries are squeezed out, and if
+// none are dead the oldest live entry is evicted first.
 //
 // Concurrency: one annotated mutex serializes every operation. Disk
 // lookups happen only on a memory-tier miss and appends only on a fresh
@@ -34,11 +47,12 @@
 // Durability contract: append() returns once the record reached the
 // kernel (process death loses nothing); machine-crash durability costs an
 // explicit sync_every_append. Either way recovery truncates any torn tail
-// instead of refusing to start.
+// instead of refusing to start. An append that fails partway is cut off
+// the segment again (or, if the cut fails, left for recovery while appends
+// move to a fresh segment), so it never shifts the records after it.
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -87,7 +101,7 @@ struct StoreStats {
   std::size_t file_bytes = 0;     ///< Total segment bytes incl. dead records.
   std::size_t segments = 0;       ///< Segment files on disk.
   std::size_t appends = 0;        ///< put() calls this session.
-  std::size_t evictions = 0;      ///< Entries dropped by the byte budget.
+  std::size_t evictions = 0;      ///< Entries dropped by a budget or the cap.
   std::size_t compactions = 0;    ///< Compaction passes this session.
   std::size_t recovered = 0;      ///< Records indexed by open()'s scan.
   std::size_t corrupt_dropped = 0;///< Records/files dropped by recovery.
@@ -130,12 +144,16 @@ class LogStore {
   const std::string& dir() const { return dir_; }
 
  private:
-  struct Location {
+  /// One indexed record, in append order. Superseded and evicted records
+  /// stay until the next squeeze, marked dead.
+  struct Entry {
+    Fingerprint key;
     std::uint64_t segment = 0;      ///< Segment sequence number.
     std::uint64_t offset = 0;       ///< Byte offset of the record header.
     std::uint32_t payload_len = 0;
-    std::list<Fingerprint>::iterator order;  ///< Position in order_.
+    bool live = true;
   };
+  static_assert(sizeof(Entry) <= 48);
 
   struct Segment {
     std::string path;
@@ -153,18 +171,37 @@ class LogStore {
   void open_active_segment(std::uint64_t seq) CODAR_REQUIRES(m_);
   bool append_record(const Fingerprint& fp, std::string_view payload)
       CODAR_REQUIRES(m_);
+  /// Appends `size` bytes to the active segment at its recorded size. On
+  /// failure the segment is cut back to that size, or left for a fresh one
+  /// when it cannot be, so a torn write never shifts later records.
+  bool append_active(const char* data, std::size_t size) CODAR_REQUIRES(m_);
   void index_record(const Fingerprint& fp, std::uint64_t segment,
                     std::uint64_t offset, std::uint32_t payload_len)
       CODAR_REQUIRES(m_);
-  void drop_entry(const Fingerprint& fp) CODAR_REQUIRES(m_);
+  std::size_t live_entries() const CODAR_REQUIRES(m_) {
+    return entries_.size() - dead_;
+  }
+  /// The slot holding `fp`'s live entry, or the empty slot ending its probe
+  /// chain.
+  std::size_t find_slot(const Fingerprint& fp) const CODAR_REQUIRES(m_);
+  /// Empties `slot` by backward-shift deletion: later members of its probe
+  /// chain move up, so no lookup ever needs a tombstone.
+  void erase_slot(std::size_t slot) CODAR_REQUIRES(m_);
+  /// Resizes the table to `size` slots and reinserts every live entry.
+  void rebuild_table(std::size_t size) CODAR_REQUIRES(m_);
+  /// Marks entries_[entry] dead (superseded or evicted).
+  void retire(std::size_t entry) CODAR_REQUIRES(m_);
+  void evict_oldest() CODAR_REQUIRES(m_);
+  /// Drops dead entries from the vector and rebuilds the table.
+  void squeeze() CODAR_REQUIRES(m_);
   void enforce_budget() CODAR_REQUIRES(m_);
   void maybe_compact() CODAR_REQUIRES(m_);
   std::size_t compact_locked() CODAR_REQUIRES(m_);
-  bool read_payload(const Location& loc, std::string* payload) const
+  bool read_payload(const Entry& entry, std::string* payload) const
       CODAR_REQUIRES(m_);
-  /// Copies out the payload of `record` (the bytes read back for `loc`)
+  /// Copies out the payload of `record` (the bytes read back for `entry`)
   /// when its length and CRC still check out.
-  bool verified_payload(const char* record, const Location& loc,
+  bool verified_payload(const char* record, const Entry& entry,
                         std::string* payload) const;
   common::RandomReadFile* reader_for(std::uint64_t segment) const
       CODAR_REQUIRES(m_);
@@ -176,11 +213,13 @@ class LogStore {
   std::unique_ptr<common::DirLock> lock_;
 
   mutable common::Mutex m_;
-  std::unordered_map<Fingerprint, Location, FingerprintHash> index_
-      CODAR_GUARDED_BY(m_);
-  /// Append order, oldest at front; eviction pops the front, warm-start
-  /// walks front→back.
-  std::list<Fingerprint> order_ CODAR_GUARDED_BY(m_);
+  /// Every indexed record, oldest first; entries_[0, head_) are all dead,
+  /// so eviction resumes at head_.
+  std::vector<Entry> entries_ CODAR_GUARDED_BY(m_);
+  std::size_t head_ CODAR_GUARDED_BY(m_) = 0;
+  std::size_t dead_ CODAR_GUARDED_BY(m_) = 0;  ///< Dead entries in entries_.
+  /// Indices into entries_, one per live entry; the rest hold kEmptySlot.
+  std::vector<std::uint32_t> slots_ CODAR_GUARDED_BY(m_);
   std::unordered_map<std::uint64_t, Segment> segments_ CODAR_GUARDED_BY(m_);
   std::unique_ptr<common::AppendFile> active_ CODAR_GUARDED_BY(m_);
   std::uint64_t active_seq_ CODAR_GUARDED_BY(m_) = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "codar/common/crc32c.hpp"
@@ -26,6 +27,23 @@ constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
 /// What one refill of a SegmentReader reads. Small on purpose: servers
 /// that open their stores at the same time each hold one window.
 constexpr std::size_t kWindowBytes = 64u << 10;
+/// The index table's free-slot marker. Entry indices stay below it, so the
+/// entry vector holds at most kMaxEntries (2^32 − 1) entries.
+constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
+constexpr std::size_t kMaxEntries = kEmptySlot;
+/// The table's smallest size; it holds at most 3/4 as many live entries as
+/// it has slots.
+constexpr std::size_t kMinSlots = 16;
+/// Recovery's guess at segment bytes per record: a record is at least
+/// 32 bytes, and one holding a route report about 200.
+constexpr std::uint64_t kReserveBytesPerEntry = 128;
+
+/// The smallest table size that holds `live` entries within the load bound.
+std::size_t table_size_for(std::size_t live) {
+  std::size_t size = kMinSlots;
+  while (live * 4 > size * 3) size *= 2;
+  return size;
+}
 
 std::size_t record_bytes(std::size_t payload_len) {
   return kHeaderBytes + kKeyBytes + payload_len;
@@ -161,6 +179,7 @@ LogStore::LogStore(std::string dir, LogStoreOptions options)
   common::ensure_directory(dir_);
   lock_ = std::make_unique<common::DirLock>(dir_, "LOCK");
   const common::MutexLock lock(m_);
+  slots_.assign(kMinSlots, kEmptySlot);
   recover();
 }
 
@@ -185,6 +204,17 @@ void LogStore::recover() {
     }
   }
   std::sort(found.begin(), found.end());
+
+  // Reserve the entries up front, one per kReserveBytesPerEntry of segment:
+  // growing the vector during the scan would copy it and fault in every
+  // outgrown buffer, which cost more than the inserts. A smaller guess only
+  // costs growth; a larger one costs address space, not resident pages.
+  std::uint64_t segment_bytes = 0;
+  for (const auto& [seq, name] : found) {
+    segment_bytes += common::file_size(dir_ + "/" + name);
+  }
+  entries_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      segment_bytes / kReserveBytesPerEntry, kMaxEntries)));
 
   std::uint64_t max_seq = 0;
   for (const auto& [seq, name] : found) {
@@ -300,7 +330,9 @@ void LogStore::open_active_segment(std::uint64_t seq) {
   active_seq_ = seq;
   if (it->second.bytes == 0) {
     if (!active_->append(kMagic, kMagicBytes)) {
+      // append_record retries the header before the segment's first record.
       warn("cannot write segment header to " + path);
+      common::truncate_file(path, 0);
     } else {
       it->second.bytes = kMagicBytes;
       file_bytes_ += kMagicBytes;
@@ -314,6 +346,12 @@ bool LogStore::append_record(const Fingerprint& fp,
     if (active_ != nullptr) active_->sync();
     open_active_segment(active_seq_ + 1);
   }
+  if (segments_.at(active_seq_).bytes == 0 &&
+      !append_active(kMagic, kMagicBytes)) {
+    warn("cannot write segment header to " + active_->path() +
+         "; entry not persisted");
+    return false;
+  }
   const std::uint64_t offset = segments_.at(active_seq_).bytes;
 
   std::string record;
@@ -326,49 +364,115 @@ bool LogStore::append_record(const Fingerprint& fp,
   put_u32(record.data() + 4,
           common::crc32c(record.data() + kHeaderBytes,
                          kKeyBytes + payload.size()));
-  if (!active_->append(record.data(), record.size())) {
+  if (!append_active(record.data(), record.size())) {
     warn("append to " + active_->path() + " failed; entry not persisted");
     return false;
   }
   if (options_.sync_every_append) active_->sync();
-  segments_.at(active_seq_).bytes += record.size();
-  file_bytes_ += record.size();
   index_record(fp, active_seq_, offset,
                static_cast<std::uint32_t>(payload.size()));
   return true;
 }
 
+bool LogStore::append_active(const char* data, std::size_t size) {
+  Segment& segment = segments_.at(active_seq_);
+  if (active_->append(data, size)) {
+    segment.bytes += size;
+    file_bytes_ += size;
+    return true;
+  }
+  // The write may have left part of `data` in the file, and the next record
+  // is indexed at the recorded size: cut the torn bytes off, or, when that
+  // fails, leave them for the next open to truncate and append elsewhere.
+  if (!common::truncate_file(segment.path, segment.bytes)) {
+    warn("cannot cut " + segment.path + " back to " +
+         std::to_string(segment.bytes) + " bytes; starting a new segment");
+    open_active_segment(active_seq_ + 1);
+  }
+  return false;
+}
+
 void LogStore::index_record(const Fingerprint& fp, std::uint64_t segment,
                             std::uint64_t offset,
                             std::uint32_t payload_len) {
-  const auto [it, fresh] = index_.try_emplace(fp);
-  if (!fresh) {
-    // Superseded: the old record's bytes become dead weight.
-    live_bytes_ -= record_bytes(it->second.payload_len);
-    order_.erase(it->second.order);
+  if (entries_.size() == kMaxEntries) {
+    // 32-bit entry indices: make room rather than wrap, evicting the oldest
+    // entry when none is dead. Each append at the cap pays for a squeeze.
+    if (dead_ == 0) evict_oldest();
+    squeeze();
   }
-  order_.push_back(fp);
-  Location& loc = it->second;
-  loc.segment = segment;
-  loc.offset = offset;
-  loc.payload_len = payload_len;
-  loc.order = std::prev(order_.end());
+  if ((live_entries() + 1) * 4 > slots_.size() * 3) {
+    rebuild_table(slots_.size() * 2);
+  }
+  const std::size_t slot = find_slot(fp);
+  // Superseded: the old record's bytes become dead weight.
+  if (slots_[slot] != kEmptySlot) retire(slots_[slot]);
+  slots_[slot] = static_cast<std::uint32_t>(entries_.size());
+  entries_.push_back(Entry{fp, segment, offset, payload_len, true});
   live_bytes_ += record_bytes(payload_len);
+  if (dead_ > live_entries()) squeeze();
 }
 
-void LogStore::drop_entry(const Fingerprint& fp) {
-  const auto it = index_.find(fp);
-  if (it == index_.end()) return;
-  live_bytes_ -= record_bytes(it->second.payload_len);
-  order_.erase(it->second.order);
-  index_.erase(it);
+std::size_t LogStore::find_slot(const Fingerprint& fp) const {
+  const std::size_t mask = slots_.size() - 1;
+  // The load bound keeps a slot free, so every probe chain ends.
+  for (std::size_t i = FingerprintHash{}(fp) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t entry = slots_[i];
+    if (entry == kEmptySlot || entries_[entry].key == fp) return i;
+  }
+}
+
+void LogStore::erase_slot(std::size_t hole) {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = (hole + 1) & mask; slots_[i] != kEmptySlot;
+       i = (i + 1) & mask) {
+    // The entry at i may fill the hole unless its home slot lies
+    // cyclically in (hole, i]: it would then be probed for past the hole.
+    const std::size_t home = FingerprintHash{}(entries_[slots_[i]].key) & mask;
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole] = kEmptySlot;
+}
+
+void LogStore::rebuild_table(std::size_t size) {
+  slots_.assign(size, kEmptySlot);
+  const std::size_t mask = size - 1;
+  for (std::size_t e = head_; e < entries_.size(); ++e) {
+    if (!entries_[e].live) continue;
+    std::size_t i = FingerprintHash{}(entries_[e].key) & mask;
+    while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = static_cast<std::uint32_t>(e);
+  }
+}
+
+void LogStore::retire(std::size_t entry) {
+  entries_[entry].live = false;
+  ++dead_;
+  live_bytes_ -= record_bytes(entries_[entry].payload_len);
+}
+
+void LogStore::evict_oldest() {
+  while (!entries_[head_].live) ++head_;
+  erase_slot(find_slot(entries_[head_].key));
+  retire(head_);
+  ++counters_.evictions;
+}
+
+void LogStore::squeeze() {
+  std::erase_if(entries_, [](const Entry& e) { return !e.live; });
+  dead_ = 0;
+  head_ = 0;
+  rebuild_table(table_size_for(entries_.size()));
 }
 
 void LogStore::enforce_budget() {
   if (options_.max_total_bytes == 0) return;
-  while (live_bytes_ > options_.max_total_bytes && !order_.empty()) {
-    drop_entry(order_.front());  // oldest-appended first
-    ++counters_.evictions;
+  while (live_bytes_ > options_.max_total_bytes && live_entries() > 0) {
+    evict_oldest();
+    if (dead_ > live_entries()) squeeze();
   }
 }
 
@@ -394,22 +498,22 @@ std::size_t LogStore::compact() {
 std::size_t LogStore::compact_locked() {
   const std::size_t before = file_bytes_;
 
-  // Snapshot the live entries (locations only — payloads stream through
-  // one at a time below) in append order, then rebuild from scratch into
-  // fresh segments numbered after every existing one.
-  std::vector<std::pair<Fingerprint, Location>> live;
-  live.reserve(index_.size());
-  for (const Fingerprint& fp : order_) {
-    live.emplace_back(fp, index_.at(fp));
-  }
+  // Take the live entries (locations only — payloads stream through one at
+  // a time below) in append order, then rebuild from scratch into fresh
+  // segments numbered after every existing one.
+  std::vector<Entry> live = std::move(entries_);
+  std::erase_if(live, [](const Entry& e) { return !e.live; });
 
   std::vector<std::pair<std::uint64_t, std::string>> old_files;
   for (const auto& [seq, segment] : segments_) {
     old_files.emplace_back(seq, segment.path);
   }
 
-  index_.clear();
-  order_.clear();
+  entries_.clear();
+  entries_.reserve(live.size());
+  head_ = 0;
+  dead_ = 0;
+  rebuild_table(table_size_for(live.size()));
   live_bytes_ = 0;
   if (active_ != nullptr) active_->sync();
   active_.reset();
@@ -424,12 +528,12 @@ std::size_t LogStore::compact_locked() {
   // the new active segment.
   open_active_segment(next_seq);
   std::string payload;
-  for (const auto& [fp, loc] : live) {
-    if (!read_payload(loc, &payload)) {
+  for (const Entry& entry : live) {
+    if (!read_payload(entry, &payload)) {
       warn("compaction: skipping unreadable record");
       continue;
     }
-    append_record(fp, payload);
+    append_record(entry.key, payload);
   }
   if (active_ != nullptr) active_->sync();
 
@@ -459,34 +563,33 @@ common::RandomReadFile* LogStore::reader_for(std::uint64_t segment) const {
   return it->second.reader.get();
 }
 
-bool LogStore::read_payload(const Location& loc, std::string* payload) const {
-  common::RandomReadFile* file = reader_for(loc.segment);
+bool LogStore::read_payload(const Entry& entry, std::string* payload) const {
+  common::RandomReadFile* file = reader_for(entry.segment);
   if (file == nullptr) return false;
   std::string record;
-  record.resize(record_bytes(loc.payload_len));
-  return file->read_at(loc.offset, record.size(), record.data()) &&
-         verified_payload(record.data(), loc, payload);
+  record.resize(record_bytes(entry.payload_len));
+  return file->read_at(entry.offset, record.size(), record.data()) &&
+         verified_payload(record.data(), entry, payload);
 }
 
-bool LogStore::verified_payload(const char* record, const Location& loc,
+bool LogStore::verified_payload(const char* record, const Entry& entry,
                                 std::string* payload) const {
   // Re-verify the header and CRC: bit rot between open() and now must
   // surface as a miss (re-route), not a wrong answer.
-  if (get_u32(record) != loc.payload_len) return false;
-  if (common::crc32c(record + kHeaderBytes, kKeyBytes + loc.payload_len) !=
+  if (get_u32(record) != entry.payload_len) return false;
+  if (common::crc32c(record + kHeaderBytes, kKeyBytes + entry.payload_len) !=
       get_u32(record + 4)) {
     warn("CRC mismatch reading record (bit rot?); treating as miss");
     return false;
   }
-  payload->assign(record + kHeaderBytes + kKeyBytes, loc.payload_len);
+  payload->assign(record + kHeaderBytes + kKeyBytes, entry.payload_len);
   return true;
 }
 
 bool LogStore::get(const Fingerprint& fp, std::string* payload) const {
   const common::MutexLock lock(m_);
-  const auto it = index_.find(fp);
-  if (it == index_.end()) return false;
-  return read_payload(it->second, payload);
+  const std::uint32_t entry = slots_[find_slot(fp)];
+  return entry != kEmptySlot && read_payload(entries_[entry], payload);
 }
 
 bool LogStore::put(const Fingerprint& fp, std::string_view payload) {
@@ -507,39 +610,42 @@ bool LogStore::put(const Fingerprint& fp, std::string_view payload) {
 std::vector<std::pair<Fingerprint, std::string>> LogStore::recent_entries(
     std::size_t n) const {
   const common::MutexLock lock(m_);
-  std::vector<std::pair<Fingerprint, std::string>> entries;
-  entries.reserve(std::min(n, order_.size()));
-  // The newest n entries, emitted oldest-first: replaying them through an
-  // LRU leaves the hottest (most recently appended) most recently used.
-  auto it = order_.end();
-  std::advance(it, -static_cast<std::ptrdiff_t>(std::min(n, order_.size())));
+  // The newest n live entries, emitted oldest-first: replaying them through
+  // an LRU leaves the hottest (most recently appended) most recently used.
+  std::size_t first = entries_.size();
+  for (std::size_t taken = 0; taken < n && first > head_;) {
+    if (entries_[--first].live) ++taken;
+  }
+  std::vector<std::pair<Fingerprint, std::string>> out;
+  out.reserve(std::min(n, live_entries()));
   // Append order is ascending (segment, offset), so one forward reader per
   // segment reads the entries a window at a time.
   std::optional<SegmentReader> reader;
   std::uint64_t reader_segment = 0;
-  for (; it != order_.end(); ++it) {
-    const Location& loc = index_.at(*it);
-    if (!reader || reader_segment != loc.segment) {
+  for (std::size_t e = first; e < entries_.size(); ++e) {
+    const Entry& entry = entries_[e];
+    if (!entry.live) continue;
+    if (!reader || reader_segment != entry.segment) {
       reader.reset();
-      const common::RandomReadFile* file = reader_for(loc.segment);
+      const common::RandomReadFile* file = reader_for(entry.segment);
       if (file == nullptr) continue;
-      reader.emplace(*file, segments_.at(loc.segment).bytes);
-      reader_segment = loc.segment;
+      reader.emplace(*file, segments_.at(entry.segment).bytes);
+      reader_segment = entry.segment;
     }
     const char* record =
-        reader->view(loc.offset, record_bytes(loc.payload_len));
+        reader->view(entry.offset, record_bytes(entry.payload_len));
     std::string payload;
-    if (record != nullptr && verified_payload(record, loc, &payload)) {
-      entries.emplace_back(*it, std::move(payload));
+    if (record != nullptr && verified_payload(record, entry, &payload)) {
+      out.emplace_back(entry.key, std::move(payload));
     }
   }
-  return entries;
+  return out;
 }
 
 StoreStats LogStore::stats() const {
   const common::MutexLock lock(m_);
   StoreStats s = counters_;
-  s.entries = index_.size();
+  s.entries = live_entries();
   s.live_bytes = live_bytes_;
   s.file_bytes = file_bytes_;
   s.segments = segments_.size();

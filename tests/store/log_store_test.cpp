@@ -4,11 +4,15 @@
 // the directory lock. Corruption scenarios write real damage into real
 // segment files — the loader must degrade record-by-record, never refuse
 // to start. Recovery and warm-start read segments through a 64 KiB
-// window, so the later tests put records and damage across its edges.
+// window, so the later tests put records and damage across its edges. A
+// write that fails halfway is provoked with a lowered RLIMIT_FSIZE.
 
 #include "codar/store/log_store.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -74,6 +78,33 @@ void flip_byte(const fs::path& path, std::uint64_t offset) {
   bytes[offset] = static_cast<char>(bytes[offset] ^ 0x40);
   write_file(path, bytes);
 }
+
+/// Lowers this process's soft file-size limit to `bytes`, with SIGXFSZ
+/// ignored so that a write past it fails (EFBIG) instead of killing the
+/// process; restores both on destruction.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes)
+      : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    if (::getrlimit(RLIMIT_FSIZE, &old_) != 0) return;
+    rlimit lowered = old_;
+    lowered.rlim_cur = bytes;
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~FileSizeLimit() {
+    if (ok_) ::setrlimit(RLIMIT_FSIZE, &old_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit old_{};
+  void (*old_handler_)(int);
+  bool ok_ = false;
+};
 
 class LogStoreTest : public ::testing::Test {
  protected:
@@ -600,6 +631,107 @@ TEST_F(LogStoreTest, TruncationSweepKeepsExactlyTheIntactPrefix) {
     }
     if (::testing::Test::HasFailure()) break;
   }
+}
+
+TEST_F(LogStoreTest, FailedAppendIsCutBackSoLaterRecordsStayReadable) {
+  auto store = open();
+  ASSERT_TRUE(store->put(fp(0), payload_for(0, 100)));
+  const fs::path segment = segment_files().at(0);
+  const std::uint64_t size = fs::file_size(segment);
+  ASSERT_EQ(size, record_offsets({100}).back());
+
+  // The next record (132 bytes) gets 50 bytes into the file, then the
+  // write fails.
+  bool torn_put = true;
+  {
+    const FileSizeLimit limit(size + 50);
+    ASSERT_TRUE(limit.ok());
+    torn_put = store->put(fp(1), payload_for(1, 100));
+  }
+  EXPECT_FALSE(torn_put);
+  EXPECT_EQ(fs::file_size(segment), size);
+
+  // The record after it lands where the store indexes it.
+  ASSERT_TRUE(store->put(fp(2), payload_for(2, 100)));
+  std::string payload;
+  EXPECT_FALSE(store->get(fp(1), &payload));
+  ASSERT_TRUE(store->get(fp(2), &payload));
+  EXPECT_EQ(payload, payload_for(2, 100));
+
+  // ... and a reopen keeps every record put() reported as stored.
+  store.reset();
+  store = open();
+  EXPECT_EQ(store->stats().entries, 2u);
+  EXPECT_EQ(store->stats().corrupt_dropped, 0u);
+  ASSERT_TRUE(store->get(fp(0), &payload));
+  EXPECT_EQ(payload, payload_for(0, 100));
+  ASSERT_TRUE(store->get(fp(2), &payload));
+  EXPECT_EQ(payload, payload_for(2, 100));
+}
+
+TEST_F(LogStoreTest, FailedAppendThatCannotBeCutMovesToAFreshSegment) {
+  auto store = open();
+  ASSERT_TRUE(store->put(fp(0), payload_for(0, 100)));
+  const fs::path segment = segment_files().at(0);
+  const std::uint64_t size = fs::file_size(segment);
+
+  // Renamed away, the segment cannot be cut back by its path, while the
+  // store's open descriptor still appends to it.
+  const fs::path aside = dir_ / "aside";
+  fs::rename(segment, aside);
+  bool torn_put = true;
+  {
+    const FileSizeLimit limit(size + 50);
+    ASSERT_TRUE(limit.ok());
+    torn_put = store->put(fp(1), payload_for(1, 100));
+  }
+  EXPECT_FALSE(torn_put);
+  fs::rename(aside, segment);
+
+  ASSERT_TRUE(store->put(fp(2), payload_for(2, 100)));
+  std::string payload;
+  ASSERT_TRUE(store->get(fp(2), &payload));
+  EXPECT_EQ(payload, payload_for(2, 100));
+  EXPECT_EQ(segment_files().size(), 2u);
+
+  // A reopen truncates the torn bytes off segment 1 and keeps both records.
+  store.reset();
+  store = open();
+  EXPECT_EQ(store->stats().entries, 2u);
+  EXPECT_EQ(store->stats().corrupt_dropped, 1u);
+  ASSERT_TRUE(store->get(fp(0), &payload));
+  EXPECT_EQ(payload, payload_for(0, 100));
+  ASSERT_TRUE(store->get(fp(2), &payload));
+  EXPECT_EQ(payload, payload_for(2, 100));
+}
+
+TEST_F(LogStoreTest, FailedSegmentHeaderIsWrittenAgainBeforeTheFirstRecord) {
+  LogStoreOptions options;
+  options.max_segment_bytes = 100;
+  auto store = open(options);
+  ASSERT_TRUE(store->put(fp(0), payload_for(0, 100)));  // fills segment 1
+
+  // Rotating to segment 2, its 8-byte magic gets 4 bytes in, and the put
+  // fails.
+  bool torn_put = true;
+  {
+    const FileSizeLimit limit(4);
+    ASSERT_TRUE(limit.ok());
+    torn_put = store->put(fp(1), payload_for(1, 100));
+  }
+  EXPECT_FALSE(torn_put);
+
+  // The next record follows a whole magic, so a reopen keeps its segment.
+  ASSERT_TRUE(store->put(fp(2), payload_for(2, 100)));
+  std::string payload;
+  ASSERT_TRUE(store->get(fp(2), &payload));
+  EXPECT_EQ(payload, payload_for(2, 100));
+  store.reset();
+  store = open(options);
+  EXPECT_EQ(store->stats().entries, 2u);
+  EXPECT_EQ(store->stats().corrupt_dropped, 0u);
+  ASSERT_TRUE(store->get(fp(2), &payload));
+  EXPECT_EQ(payload, payload_for(2, 100));
 }
 
 TEST_F(LogStoreTest, DirLockRefusesASecondStore) {
