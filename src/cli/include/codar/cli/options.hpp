@@ -6,13 +6,12 @@
 // the built-in 71-benchmark suite) — and `codar serve`, whose command line
 // sets the service options and the per-request routing defaults.
 //
-// Router and initial-mapping selection is string-keyed through the
-// pipeline registries: `--router`/`--initial` validate against the
-// registered names, `--list-routers`/`--list-mappings` enumerate them.
-// Knob flags (the CODAR ablation switches, --seed, --mapping-rounds, ...)
-// are rows of pipeline::routing_knobs(), the table `codar serve` reads its
-// "options" through too; a new pass needs no CLI edit, and reads its own
-// knobs from `--set KEY=VALUE`.
+// Router and initial-mapping selection is by name from the pipeline
+// catalogs: `--router`/`--initial` validate against their names,
+// `--list-routers`/`--list-mappings` enumerate them. Knob flags (the CODAR
+// ablation switches, --seed, --mapping-rounds, ...) are rows of
+// pipeline::routing_knobs(), the table `codar serve` reads its "options"
+// through too, so a new pass or knob needs no CLI edit.
 
 #include <string>
 #include <vector>

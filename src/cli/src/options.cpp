@@ -15,8 +15,8 @@ using pipeline::parse_text;
 /// What the serve size and count flags expect (parsed as std::size_t).
 constexpr const char* kCount = "a non-negative integer";
 
-/// Tries to consume one routing flag into `spec`: the device, router,
-/// thread and --set flags here, every knob flag through the knob table.
+/// Tries to consume one routing flag into `spec`: the device, router and
+/// thread flags here, every knob flag through the knob table.
 /// Returns false when `arg` is not a routing flag.
 bool parse_routing_flag(pipeline::RoutingSpec& spec, const std::string& arg,
                         const pipeline::FlagValue& value) {
@@ -33,15 +33,6 @@ bool parse_routing_flag(pipeline::RoutingSpec& spec, const std::string& arg,
       throw pipeline::UsageError(arg + " is out of range");
     }
     spec.threads = static_cast<int>(threads);
-  } else if (arg == "--set") {
-    // Free-form knob for externally registered passes (see
-    // RoutingSpec::extras); built-in knobs have dedicated flags.
-    const std::string kv = value();
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw pipeline::UsageError("--set expects KEY=VALUE, got '" + kv + "'");
-    }
-    spec.set_extra(kv.substr(0, eq), kv.substr(eq + 1));
   } else {
     return pipeline::set_knob_flag(spec, arg, value);
   }
@@ -89,8 +80,6 @@ constexpr const char* kRoutingUsage =
                         reads from the circuit's start (default 500;
                         0 = the whole circuit, as published)
       --peephole        run the peephole cleanup pass before routing
-      --set KEY=VALUE   free-form knob for externally registered passes
-                        (read via RoutingSpec::extra; cache-key relevant)
       --no-verify       skip the routing verifier
       --timing          add per-route and per-stage wall times (route_us,
                         stage_us) to the JSON stats; off by default so

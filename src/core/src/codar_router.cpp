@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "codar/arch/distance_oracle.hpp"
-#include "codar/common/arena.hpp"
 #include "codar/core/front.hpp"
 #include "codar/core/heuristic.hpp"
 #include "codar/core/qubit_lock.hpp"
@@ -55,8 +54,7 @@ struct Candidate {
 class RoutingRun {
  public:
   RoutingRun(const arch::Device& device, const CodarConfig& config,
-             const ir::Circuit& input, const layout::Layout& initial,
-             common::Arena& arena)
+             const ir::Circuit& input, const layout::Layout& initial)
       : device_(device),
         config_(config),
         dist_(device.graph.oracle()),
@@ -70,24 +68,11 @@ class RoutingRun {
         initial_(initial),
         locks_(device.graph.num_qubits()),
         out_(device.graph.num_qubits(), input.name() + "_codar"),
-        pass_scratch_(common::ArenaAllocator<int>(arena)),
-        phys_scratch_(common::ArenaAllocator<Qubit>(arena)),
-        entries_(common::ArenaAllocator<CfEntry>(arena)),
-        prev_entries_(common::ArenaAllocator<CfEntry>(arena)),
-        entry_head_(static_cast<std::size_t>(device.graph.num_qubits()), -1,
-                    common::ArenaAllocator<int>(arena)),
-        qubit_version_(static_cast<std::size_t>(device.graph.num_qubits()), 1,
-                       common::ArenaAllocator<std::uint64_t>(arena)),
-        blocked_scratch_(common::ArenaAllocator<int>(arena)),
-        cand_scratch_(common::ArenaAllocator<Candidate>(arena)),
-        bonus_scratch_(common::ArenaAllocator<double>(arena)),
-        endpoints_scratch_(common::ArenaAllocator<GateEndpoints>(arena)),
-        edge_seen_(device.graph.num_edges(), 0,
-                   common::ArenaAllocator<std::uint32_t>(arena)),
-        edge_priority_(device.graph.num_edges(),
-                       common::ArenaAllocator<SwapPriority>(arena)),
-        edge_priced_(device.graph.num_edges(), 0,
-                     common::ArenaAllocator<std::uint64_t>(arena)) {}
+        entry_head_(static_cast<std::size_t>(device.graph.num_qubits()), -1),
+        qubit_version_(static_cast<std::size_t>(device.graph.num_qubits()), 1),
+        edge_seen_(device.graph.num_edges(), 0),
+        edge_priority_(device.graph.num_edges()),
+        edge_priced_(device.graph.num_edges(), 0) {}
 
   RoutingResult run() {
     std::size_t iterations = 0;
@@ -522,27 +507,26 @@ class RoutingRun {
   ir::Circuit out_;
   RouterStats stats_;
 
-  // Reused scratch buffers, bump-allocated from the per-thread arena — the
-  // hot loop allocates nothing after warm-up, and the arena's blocks are
-  // recycled wholesale across route() calls.
-  common::ArenaVector<int> pass_scratch_;     ///< Front snapshot per launch pass.
-  common::ArenaVector<Qubit> phys_scratch_;   ///< Physical operands of one gate.
-  common::ArenaVector<CfEntry> entries_;       ///< CF 2q gates under π.
-  common::ArenaVector<CfEntry> prev_entries_;  ///< The previous pass's.
-  common::ArenaVector<int> entry_head_;  ///< Per physical qubit: first entry.
+  // Scratch buffers reused across the steps of this route: the hot loop
+  // allocates nothing once each has grown to its high-water mark.
+  std::vector<int> pass_scratch_;     ///< Front snapshot per launch pass.
+  std::vector<Qubit> phys_scratch_;   ///< Physical operands of one gate.
+  std::vector<CfEntry> entries_;       ///< CF 2q gates under π.
+  std::vector<CfEntry> prev_entries_;  ///< The previous pass's.
+  std::vector<int> entry_head_;  ///< Per physical qubit: first entry.
   /// Per physical qubit: the version at which an entry on it last
   /// appeared, left or moved. Starts above every edge's priced version.
-  common::ArenaVector<std::uint64_t> qubit_version_;
+  std::vector<std::uint64_t> qubit_version_;
   std::uint64_t version_ = 1;
-  common::ArenaVector<int> blocked_scratch_;  ///< Uncoupled entries_ indices.
-  common::ArenaVector<Candidate> cand_scratch_;  ///< Candidate SWAP edges.
-  common::ArenaVector<double> bonus_scratch_;  ///< Per-edge cost bonuses.
-  common::ArenaVector<GateEndpoints> endpoints_scratch_;  ///< One pricing's.
-  common::ArenaVector<std::uint32_t> edge_seen_;  ///< Edge-id dedup stamps.
+  std::vector<int> blocked_scratch_;  ///< Uncoupled entries_ indices.
+  std::vector<Candidate> cand_scratch_;  ///< Candidate SWAP edges.
+  std::vector<double> bonus_scratch_;  ///< Per-edge cost bonuses.
+  std::vector<GateEndpoints> endpoints_scratch_;  ///< One pricing's.
+  std::vector<std::uint32_t> edge_seen_;  ///< Edge-id dedup stamps.
   std::uint32_t edge_stamp_ = 0;
   /// Per edge id: the cached priority and the version it was priced at.
-  common::ArenaVector<SwapPriority> edge_priority_;
-  common::ArenaVector<std::uint64_t> edge_priced_;
+  std::vector<SwapPriority> edge_priority_;
+  std::vector<std::uint64_t> edge_priced_;
 
   SwapCandidate last_forced_{};
   int consecutive_forced_ = 0;
@@ -570,11 +554,7 @@ RoutingResult CodarRouter::route(const ir::Circuit& circuit,
   CODAR_EXPECTS(circuit.num_qubits() <= device_.graph.num_qubits());
   CODAR_EXPECTS(initial.num_logical() == circuit.num_qubits());
   CODAR_EXPECTS(initial.num_physical() == device_.graph.num_qubits());
-  // One arena per thread, recycled between invocations: scratch memory for
-  // a batch of circuits is allocated once, however large the device.
-  thread_local common::Arena arena;
-  arena.reset();
-  RoutingRun run(device_, config_, circuit, initial, arena);
+  RoutingRun run(device_, config_, circuit, initial);
   return run.run();
 }
 

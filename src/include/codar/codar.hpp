@@ -13,7 +13,7 @@
 //   codar::pipeline::RouteReport report = pipe.run(circuit);
 //
 // The preferred compilation API is codar::pipeline (polymorphic passes,
-// string-keyed registries, the composable Pipeline); the per-module
+// name-keyed catalogs, the composable Pipeline); the per-module
 // headers below remain public for code that wants a specific router or
 // building block directly.
 
@@ -81,7 +81,7 @@
 #include "codar/workloads/generators.hpp"
 #include "codar/workloads/suite.hpp"
 
-// The unified compilation API: passes, registries, pipeline.
+// The unified compilation API: passes, catalogs, pipeline.
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/pipeline.hpp"
 #include "codar/pipeline/registry.hpp"

@@ -1,21 +1,20 @@
 #pragma once
 
-// String-keyed device factory registry, the device-side sibling of
-// RouterRegistry/MappingRegistry: each entry carries a name, a display
-// spec, a one-line description and a factory, so adding a device means
-// registering one entry — the CLI (`--device`, `--list-devices`), the
-// serve protocol and the batch driver all pick it up without edits.
+// The device catalog, the device-side sibling of the router and mapping
+// catalogs (registry.hpp): a constant table whose entries carry a name,
+// a display spec, a one-line description and a factory. The CLI
+// (`--device`, `--list-devices`), the serve protocol and the batch driver
+// all read it, so a new device is one row in builtin_devices.cpp.
 //
 // Specs are either a bare name (`tokyo`, with aliases like `q20`) or a
 // parameterized `name:ARG` form (`grid:4x5`, `linear:16`,
 // `file:devices/tokyo.json`); the text before the first ':' selects the
 // entry, the rest is handed to its factory. Unknown specs throw
-// UsageError listing every registered spec, exactly as unknown routers
-// and mappings do.
+// UsageError listing every spec in the catalog, exactly as unknown
+// routers and mappings do.
 //
-// The built-in devices self-register the first time the registry is used
-// (instance() runs their registration exactly once, thread-safely); user
-// code may add() further entries at startup, before concurrent use.
+// The catalog is built once, on the first call of instance() (a magic
+// static, so thread-safe), and never written after.
 
 #include <functional>
 #include <string>
@@ -27,9 +26,9 @@
 
 namespace codar::pipeline {
 
-/// One registered device or device family.
+/// One built-in device or device family.
 struct DeviceEntry {
-  std::string name;         ///< Registry key: the spec text before ':'.
+  std::string name;         ///< Catalog key: the spec text before ':'.
   std::string spec;         ///< Display form, e.g. "q16" or "grid:RxC".
   std::string description;  ///< One line for --list-devices.
   /// Extra exact names the entry answers to (e.g. "q20" for "tokyo").
@@ -48,39 +47,37 @@ struct DeviceEntry {
   bool local_only = false;
 };
 
-/// Ordered name → entry map; registration order is listing order.
+/// A constant name → entry table; table order is listing order.
 class DeviceRegistry {
  public:
-  /// Registers an entry. Throws std::logic_error on a duplicate name or
-  /// alias, or a missing factory.
-  void add(DeviceEntry entry);
-
-  /// Entry whose name or alias is `name`, or nullptr when unregistered.
+  /// Entry whose name or alias is `name`, or nullptr when there is none.
   const DeviceEntry* find(std::string_view name) const;
 
   /// Entry a *full* spec ("tokyo", "grid:4x5") resolves to — the one
   /// spec-to-entry rule, shared by make() and by trust-boundary checks
   /// (the serve protocol refuses local_only entries) so the two can
-  /// never drift apart. nullptr when unregistered.
+  /// never drift apart. nullptr when there is none.
   const DeviceEntry* resolve(const std::string& spec) const;
 
   /// Builds the device for a full spec ("tokyo", "grid:4x5",
   /// "file:dev.json"). Throws UsageError for an unknown name — the
-  /// message lists every registered spec — or a malformed parameter.
+  /// message lists every spec in the catalog — or a malformed parameter.
   arch::Device make(const std::string& spec) const;
 
-  /// All entries in registration order.
+  /// All entries in table order.
   const std::vector<DeviceEntry>& entries() const { return entries_; }
 
-  /// "q16|tokyo|...|grid:RxC|file:PATH.json" over the registered specs,
-  /// in registration order (used in the unknown-device error).
+  /// "q16|tokyo|...|grid:RxC|file:PATH.json" over the display specs, in
+  /// table order (used in the unknown-device error).
   std::string specs() const;
 
-  /// The process-wide registry (all presets, lattice generators and the
-  /// `file:` JSON loader built in).
-  static DeviceRegistry& instance();
+  /// The catalog: all presets, lattice generators and the `file:` JSON
+  /// loader.
+  static const DeviceRegistry& instance();
 
  private:
+  DeviceRegistry();  ///< The table, in builtin_devices.cpp.
+
   std::vector<DeviceEntry> entries_;
 };
 

@@ -74,9 +74,9 @@ struct RouteReport {
 std::string to_json(const RouteReport& report, const RoutingSpec& spec);
 
 /// A resolved compilation pipeline: the router and initial-mapping passes
-/// named by the spec, looked up in the registries and constructed for one
+/// named by the spec, looked up in the catalogs and constructed for one
 /// device. Construction validates the names (UsageError lists the
-/// registered ones). run() is const and share-nothing per call, so one
+/// catalog's). run() is const and share-nothing per call, so one
 /// Pipeline may serve many threads — the batch driver builds one per job
 /// instead only because that is what the pre-registry code did.
 class Pipeline {

@@ -1,29 +1,20 @@
 #pragma once
 
-// String-keyed factory registries for routing passes and initial-mapping
-// strategies. Each entry carries a name, a one-line description and a
-// factory, so adding a pass means registering one entry — the CLI
-// (`--router`, `--list-routers`), the serve protocol and the JSON stats
-// all pick it up without edits. Knobs are not per-pass: the built-in ones
-// are rows of routing_knobs() (spec.hpp), and a registered pass reads its
-// own from RoutingSpec::extras (`--set KEY=VALUE`, serve "extras").
+// The router and initial-mapping catalogs: constant tables of the
+// built-in passes, each entry a name, a one-line description and a
+// factory. The CLI (`--router`, `--list-routers`), the serve protocol and
+// the JSON stats all read these tables, so a new pass is one class plus
+// one row in builtin_routers.cpp or builtin_mappings.cpp. Knobs are not
+// per-pass: they are rows of routing_knobs() (spec.hpp).
 //
-// The built-in passes self-register the first time a registry is used
-// (instance() runs their registration exactly once, thread-safely); user
-// code may add() further entries at startup, before concurrent use.
-//
-// Concurrency contract: registries are write-at-startup, read-after.
-// add() is NOT synchronized against concurrent resolve()/names() — the
-// serve worker pool and parallel batch driver assume the entry tables are
-// frozen by the time they fan out (which the magic-static registration
-// guarantees for the built-ins). Registering passes from a running worker
-// is a data race by contract, not a supported operation; DESIGN.md §11
-// lists the state that IS lock-protected.
+// Each catalog is built once, on the first call of instance() (a magic
+// static, so thread-safe), and never written after: the serve worker pool
+// and the parallel batch driver read it without a lock.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "codar/pipeline/routing_pass.hpp"
@@ -31,46 +22,28 @@
 
 namespace codar::pipeline {
 
-/// One registered routing pass.
+/// One built-in routing pass.
 struct RouterEntry {
-  std::string name;         ///< Registry key, also the JSON stats name.
+  std::string name;         ///< Catalog key, also the JSON stats name.
   std::string description;  ///< One line for --list-routers.
   /// Builds the pass for a device + spec. The device reference only needs
   /// to outlive the call (built-in passes copy their device model).
-  std::function<std::unique_ptr<RoutingPass>(const arch::Device&,
-                                             const RoutingSpec&)>
-      make;
+  std::unique_ptr<RoutingPass> (*make)(const arch::Device&,
+                                       const RoutingSpec&);
 };
 
-/// One registered initial-mapping strategy.
+/// One built-in initial-mapping strategy.
 struct MappingEntry {
-  std::string name;         ///< Registry key, also the JSON stats name.
+  std::string name;         ///< Catalog key, also the JSON stats name.
   std::string description;  ///< One line for --list-mappings.
-  std::function<std::unique_ptr<MappingPass>(const RoutingSpec&)> make;
+  std::unique_ptr<MappingPass> (*make)(const RoutingSpec&);
 };
 
-/// Ordered name → entry map; registration order is listing order.
+/// A constant name → entry table; table order is listing order.
 template <typename Entry>
 class PassRegistry {
  public:
-  /// `kind` is the human-readable noun used in error messages
-  /// ("router", "initial mapping").
-  explicit PassRegistry(std::string kind) : kind_(std::move(kind)) {}
-
-  /// Registers an entry. Throws std::logic_error on a duplicate name or
-  /// a missing factory.
-  void add(Entry entry) {
-    if (entry.name.empty() || !entry.make) {
-      throw std::logic_error(kind_ + " registration needs a name and a "
-                                     "factory");
-    }
-    if (find(entry.name) != nullptr) {
-      throw std::logic_error("duplicate " + kind_ + " '" + entry.name + "'");
-    }
-    entries_.push_back(std::move(entry));
-  }
-
-  /// Entry for `name`, or nullptr when unregistered.
+  /// Entry for `name`, or nullptr when there is none.
   const Entry* find(std::string_view name) const {
     for (const Entry& e : entries_) {
       if (e.name == name) return &e;
@@ -78,17 +51,17 @@ class PassRegistry {
     return nullptr;
   }
 
-  /// Entry for `name`; throws UsageError listing the registered names.
+  /// Entry for `name`; throws UsageError listing the catalog's names.
   const Entry& at(const std::string& name) const {
     if (const Entry* e = find(name)) return *e;
     throw UsageError("unknown " + kind_ + " '" + name + "' (expected " +
                      names() + ")");
   }
 
-  /// All entries in registration order.
+  /// All entries in table order.
   const std::vector<Entry>& entries() const { return entries_; }
 
-  /// "a|b|c" over the registered names, in registration order.
+  /// "a|b|c" over the entry names, in table order.
   std::string names() const {
     std::string out;
     for (const Entry& e : entries_) {
@@ -98,23 +71,33 @@ class PassRegistry {
     return out;
   }
 
+ protected:
+  /// `kind` is the human-readable noun used in error messages
+  /// ("router", "initial mapping").
+  PassRegistry(std::string kind, std::vector<Entry> entries)
+      : kind_(std::move(kind)), entries_(std::move(entries)) {}
+
  private:
   std::string kind_;
   std::vector<Entry> entries_;
 };
 
-/// The process-wide routing-pass registry (codar, sabre, astar built in).
+/// The routing passes: codar, codar-fid, sabre, astar.
 class RouterRegistry : public PassRegistry<RouterEntry> {
  public:
-  RouterRegistry() : PassRegistry("router") {}
-  static RouterRegistry& instance();
+  static const RouterRegistry& instance();
+
+ private:
+  RouterRegistry();  ///< The table, in builtin_routers.cpp.
 };
 
-/// The process-wide initial-mapping registry (identity, greedy, sabre).
+/// The initial-mapping strategies: identity, greedy, sabre.
 class MappingRegistry : public PassRegistry<MappingEntry> {
  public:
-  MappingRegistry() : PassRegistry("initial mapping") {}
-  static MappingRegistry& instance();
+  static const MappingRegistry& instance();
+
+ private:
+  MappingRegistry();  ///< The table, in builtin_mappings.cpp.
 };
 
 }  // namespace codar::pipeline

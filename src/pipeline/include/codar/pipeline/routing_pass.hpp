@@ -5,11 +5,10 @@
 // a hardware-compliant RoutingResult; a MappingPass chooses that initial
 // layout. The built-in passes (CODAR, SABRE, layered A*; identity/greedy/
 // SABRE mappings) are thin adapters over the core/sabre/astar/layout
-// modules and reach callers through the registries in registry.hpp —
+// modules and reach callers through the catalogs in registry.hpp —
 // the CLI, the serve service, benches and tests never name a concrete
 // router class.
 
-#include <string>
 #include <string_view>
 
 #include "codar/arch/device.hpp"
@@ -27,17 +26,13 @@ class RoutingPass {
  public:
   virtual ~RoutingPass() = default;
 
-  /// The registry name this pass was registered under (e.g. "codar").
+  /// The catalog name of this pass (e.g. "codar").
   virtual std::string_view name() const = 0;
 
   /// Routes `circuit` (lowered to <=2-qubit gates, used qubits fitting the
   /// device) starting from `initial`.
   virtual core::RoutingResult route(const ir::Circuit& circuit,
                                     const layout::Layout& initial) const = 0;
-
-  /// One-line human-readable summary of the knobs this instance was built
-  /// with (for logs and diagnostics; never part of the JSON stats).
-  virtual std::string describe_config() const = 0;
 };
 
 /// One initial-mapping strategy. `choose` may inspect the device freely;
@@ -47,15 +42,12 @@ class MappingPass {
  public:
   virtual ~MappingPass() = default;
 
-  /// The registry name this strategy was registered under (e.g. "greedy").
+  /// The catalog name of this strategy (e.g. "greedy").
   virtual std::string_view name() const = 0;
 
   /// Chooses the initial layout π for `circuit` on `device`.
   virtual layout::Layout choose(const ir::Circuit& circuit,
                                 const arch::Device& device) const = 0;
-
-  /// One-line human-readable summary of this instance's knobs.
-  virtual std::string describe_config() const = 0;
 };
 
 }  // namespace codar::pipeline

@@ -16,9 +16,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <variant>
-#include <vector>
 
 #include "codar/core/codar_router.hpp"
 
@@ -60,42 +58,11 @@ struct RoutingSpec {
   };
   FidWeights fid;
 
-  /// Free-form knobs for externally registered passes, which have no
-  /// dedicated field above: their factories read values from here. Fed by
-  /// `--set KEY=VALUE` on the CLI and the `"extras"` object in serve
-  /// requests, and folded into the route-cache options fingerprint — so a
-  /// third-party knob is cache-correct without touching either front end.
-  /// Kept sorted by key (set_extra) so the fingerprint is canonical.
-  std::vector<std::pair<std::string, std::string>> extras;
-
   // Presentation fields: they never change a routed result, so the route
   // cache's options fingerprint leaves them out.
   std::string device = "tokyo";  ///< DeviceRegistry spec (display name).
   int threads = 0;               ///< Worker threads; 0 = hardware count.
   bool timing = false;           ///< Stage wall times in the JSON report.
-
-  /// Inserts or replaces `key`, keeping `extras` sorted.
-  void set_extra(const std::string& key, std::string value) {
-    for (auto it = extras.begin(); it != extras.end(); ++it) {
-      if (it->first == key) {
-        it->second = std::move(value);
-        return;
-      }
-      if (it->first > key) {
-        extras.insert(it, {key, std::move(value)});
-        return;
-      }
-    }
-    extras.emplace_back(key, std::move(value));
-  }
-
-  /// Value for `key`, or nullptr when unset.
-  const std::string* extra(const std::string& key) const {
-    for (const auto& [k, v] : extras) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
 };
 
 /// One routing knob with a RoutingSpec field, as both front ends spell it:
@@ -103,8 +70,7 @@ struct RoutingSpec {
 /// its bound, and the field it sets. The front ends convert only their own
 /// syntax (argv text in set_knob_flag, a JSON value in
 /// service::parse_request) and hand the value to set(), so each bound is
-/// written once and a new knob is one row. Knobs of externally registered
-/// passes have no row: they go through RoutingSpec::extras.
+/// written once and a new knob is one row.
 struct RoutingKnob {
   enum class Kind {
     kOn,       ///< A switch; the CLI flag takes no value and sets true.

@@ -1,13 +1,13 @@
 // The three built-in initial-mapping strategies as MappingPass adapters:
 // identity, the interaction-graph greedy placement (src/layout) and
 // SABRE's reverse-traversal refinement (the paper's evaluation protocol),
-// which reads the seed / rounds / horizon knobs of the RoutingSpec.
+// which reads the seed / rounds / horizon knobs of the RoutingSpec; and
+// the mapping catalog that lists them.
 
 #include <memory>
-#include <sstream>
 
-#include "builtins.hpp"
 #include "codar/layout/initial_mapping.hpp"
+#include "codar/pipeline/registry.hpp"
 #include "codar/sabre/sabre_router.hpp"
 
 namespace codar::pipeline {
@@ -16,27 +16,25 @@ namespace {
 
 class IdentityMapping final : public MappingPass {
  public:
+  explicit IdentityMapping(const RoutingSpec&) {}
+
   std::string_view name() const override { return "identity"; }
 
   layout::Layout choose(const ir::Circuit& circuit,
                         const arch::Device& device) const override {
     return layout::Layout(circuit.num_qubits(), device.graph.num_qubits());
   }
-
-  std::string describe_config() const override { return "pi(q) = q"; }
 };
 
 class GreedyMapping final : public MappingPass {
  public:
+  explicit GreedyMapping(const RoutingSpec&) {}
+
   std::string_view name() const override { return "greedy"; }
 
   layout::Layout choose(const ir::Circuit& circuit,
                         const arch::Device& device) const override {
     return layout::greedy_interaction_layout(circuit, device.graph);
-  }
-
-  std::string describe_config() const override {
-    return "interaction-graph greedy placement (deterministic)";
   }
 };
 
@@ -55,41 +53,32 @@ class SabreMapping final : public MappingPass {
                                                       seed_, horizon_);
   }
 
-  std::string describe_config() const override {
-    std::ostringstream out;
-    out << "rounds=" << rounds_ << " seed=" << seed_
-        << " horizon=" << horizon_;
-    return out.str();
-  }
-
  private:
   int rounds_;
   int horizon_;
   std::uint64_t seed_;
 };
 
-}  // namespace
-
-namespace detail {
-
-void register_builtin_mappings(MappingRegistry& registry) {
-  registry.add({"identity",
-                "pi(q) = q (no placement)",
-                [](const RoutingSpec&) {
-                  return std::unique_ptr<MappingPass>(new IdentityMapping());
-                }});
-  registry.add({"greedy",
-                "interaction-graph greedy placement, deterministic",
-                [](const RoutingSpec&) {
-                  return std::unique_ptr<MappingPass>(new GreedyMapping());
-                }});
-  registry.add({"sabre",
-                "SABRE reverse-traversal refinement (the paper's protocol)",
-                [](const RoutingSpec& s) {
-                  return std::unique_ptr<MappingPass>(new SabreMapping(s));
-                }});
+template <typename Pass>
+std::unique_ptr<MappingPass> make(const RoutingSpec& spec) {
+  return std::make_unique<Pass>(spec);
 }
 
-}  // namespace detail
+}  // namespace
+
+MappingRegistry::MappingRegistry()
+    : PassRegistry(
+          "initial mapping",
+          {{"identity", "pi(q) = q (no placement)", make<IdentityMapping>},
+           {"greedy", "interaction-graph greedy placement, deterministic",
+            make<GreedyMapping>},
+           {"sabre",
+            "SABRE reverse-traversal refinement (the paper's protocol)",
+            make<SabreMapping>}}) {}
+
+const MappingRegistry& MappingRegistry::instance() {
+  static const MappingRegistry registry;
+  return registry;
+}
 
 }  // namespace codar::pipeline

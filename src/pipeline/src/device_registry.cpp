@@ -1,25 +1,6 @@
 #include "codar/pipeline/device_registry.hpp"
 
-#include <stdexcept>
-
-#include "builtins.hpp"
-
 namespace codar::pipeline {
-
-void DeviceRegistry::add(DeviceEntry entry) {
-  if (entry.name.empty() || !entry.make) {
-    throw std::logic_error("device registration needs a name and a factory");
-  }
-  if (find(entry.name) != nullptr) {
-    throw std::logic_error("duplicate device '" + entry.name + "'");
-  }
-  for (const std::string& alias : entry.aliases) {
-    if (find(alias) != nullptr) {
-      throw std::logic_error("duplicate device alias '" + alias + "'");
-    }
-  }
-  entries_.push_back(std::move(entry));
-}
 
 const DeviceEntry* DeviceRegistry::find(std::string_view name) const {
   for (const DeviceEntry& e : entries_) {
@@ -64,17 +45,6 @@ std::string DeviceRegistry::specs() const {
     out += e.spec;
   }
   return out;
-}
-
-DeviceRegistry& DeviceRegistry::instance() {
-  // Magic static: built (and the builtins registered) exactly once, in a
-  // thread-safe way, on first use — same pattern as RouterRegistry.
-  static DeviceRegistry& reg = *[] {
-    auto* r = new DeviceRegistry();
-    detail::register_builtin_devices(*r);
-    return r;
-  }();
-  return reg;
 }
 
 }  // namespace codar::pipeline

@@ -11,7 +11,7 @@
 // built-in suite benchmark (`suite_name`), plus optional device/router
 // selection and an `options` object: one key per row of
 // pipeline::routing_knobs() (the table the CLI's knob flags come from),
-// plus "extras" for the knobs of externally registered passes.
+// and no other key.
 // `device` is either a registry spec string ("tokyo", "grid:4x5") or an
 // inline JSON device description object (the `--device file:` schema —
 // see codar/arch/device_json.hpp), so clients can route against
@@ -65,11 +65,10 @@ ServeRequest parse_request(const std::string& line,
 
 /// Fingerprint over every RoutingSpec field that can change a routed
 /// result or its cached report: router, initial mapping, seed, mapping
-/// rounds and horizon, peephole, verify, the CODAR ablation knobs, the
-/// codar-fid weights, and the free-form extras for externally registered
-/// passes. Deliberately excludes the presentation fields (device spec
-/// string, threads, timing) — the device is fingerprinted separately from
-/// its content.
+/// rounds and horizon, peephole, verify, the CODAR ablation knobs and the
+/// codar-fid weights. Deliberately excludes the presentation fields
+/// (device spec string, threads, timing) — the device is fingerprinted
+/// separately from its content.
 std::uint64_t options_fingerprint(const pipeline::RoutingSpec& opts);
 
 }  // namespace codar::service

@@ -92,6 +92,8 @@ class RouteCache {
   /// it, stores it (memory + disk) and returns it. Concurrent calls with
   /// the same key do the work once (single-flight). `hit`, when non-null,
   /// is set to true iff the report was produced without invoking `route`.
+  /// The entries keep no wall times: only the call whose `route` ran gets
+  /// its route_us and stage_us back; a hit reports 0 and none.
   pipeline::RouteReport get_or_route(
       const CacheKey& key, const std::function<pipeline::RouteReport()>& route,
       bool* hit = nullptr);

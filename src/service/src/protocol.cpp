@@ -1,7 +1,6 @@
 #include "codar/service/protocol.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -61,22 +60,6 @@ void set_option(pipeline::RoutingSpec& opts, const std::string& key,
   } catch (const pipeline::UsageError& e) {
     throw ProtocolError(e.what());
   }
-}
-
-/// The "extras" option: free-form knobs for externally registered passes,
-/// mirroring the CLI's --set KEY=VALUE (see RoutingSpec::extras). String
-/// values only, so the fingerprinted representation is unambiguous. The
-/// request's object *replaces* the serve-line defaults wholesale —
-/// per-key merging would leave no way to unset a default knob. Sorted
-/// through a map, not by set_extra per key (quadratic in the key count);
-/// as with set_extra, a repeated key keeps its last value.
-void set_extras(pipeline::RoutingSpec& opts, const common::Json& v) {
-  if (!v.is_object()) bad("'extras' must be an object");
-  std::map<std::string, std::string> extras;
-  for (const auto& [k, member] : v.members()) {
-    extras[k] = require_string(member, "extras value");
-  }
-  opts.extras.assign(extras.begin(), extras.end());
 }
 
 }  // namespace
@@ -188,11 +171,7 @@ ServeRequest parse_request(const std::string& line,
   if (const common::Json* options = doc.find("options")) {
     if (!options->is_object()) bad("'options' must be an object");
     for (const auto& [key, value] : options->members()) {
-      if (key == "extras") {
-        set_extras(req.opts, value);
-      } else {
-        set_option(req.opts, key, value);
-      }
+      set_option(req.opts, key, value);
     }
   }
   return req;
@@ -200,7 +179,9 @@ ServeRequest parse_request(const std::string& line,
 
 std::uint64_t options_fingerprint(const pipeline::RoutingSpec& opts) {
   common::Fnv1a h;
-  h.u64(4);  // fingerprint schema version (4: + SABRE layout horizon)
+  // Fingerprint schema version (4: + SABRE layout horizon; 5: the
+  // free-form extras are gone).
+  h.u64(5);
   h.str(opts.router);
   h.str(opts.mapping);
   h.u64(opts.seed);
@@ -222,13 +203,6 @@ std::uint64_t options_fingerprint(const pipeline::RoutingSpec& opts) {
   h.f64(opts.fid.alpha);
   h.f64(opts.fid.beta);
   h.f64(opts.fid.gamma);
-  // extras is kept sorted by set_extra, so this is canonical; str() is
-  // length-prefixed, so keys and values cannot alias.
-  h.u64(opts.extras.size());
-  for (const auto& [key, value] : opts.extras) {
-    h.str(key);
-    h.str(value);
-  }
   return h.value();
 }
 

@@ -1,5 +1,7 @@
 #include "codar/service/route_cache.hpp"
 
+#include <utility>
+
 #include "codar/common/expects.hpp"
 #include "codar/common/fnv.hpp"
 #include "codar/store/report_codec.hpp"
@@ -155,12 +157,18 @@ pipeline::RouteReport RouteCache::get_or_route(
       from_disk = store::decode_report(payload, &report);
     }
   }
+  // The wall times of a route belong to this caller alone: the tiers and
+  // the coalesced followers get the report without them, as a hit.
+  std::size_t route_us = 0;
+  std::vector<pipeline::StageTiming> stage_us;
   if (!from_disk) {
     try {
       report = route();
     } catch (const std::exception& e) {
       report.error = e.what();
     }
+    route_us = std::exchange(report.route_us, 0);
+    stage_us = std::exchange(report.stage_us, {});
     // Persist fresh successful routes; error reports are transient (a
     // bad request re-fails cheaply, and must not shadow a later fix).
     if (store_ != nullptr && report.error.empty()) {
@@ -184,6 +192,8 @@ pipeline::RouteReport RouteCache::get_or_route(
   }
   flight->cv.notify_all();
   if (hit) *hit = from_disk;
+  report.route_us = route_us;
+  report.stage_us = std::move(stage_us);
   return report;
 }
 

@@ -61,7 +61,6 @@ class Reader {
   }
 
   bool done() const { return ok_ && pos_ == bytes_.size(); }
-  bool ok() const { return ok_; }
 
  private:
   std::string_view bytes_;
@@ -87,17 +86,11 @@ std::string encode_report(const pipeline::RouteReport& r) {
   put_u64(&out, r.forced_swaps);
   put_u64(&out, r.escape_swaps);
   put_u64(&out, r.cycles);
-  put_u64(&out, r.route_us);
   put_u64(&out, static_cast<std::uint64_t>(r.makespan));
   put_u64(&out, static_cast<std::uint64_t>(r.depth_in));
   put_u64(&out, static_cast<std::uint64_t>(r.depth_out));
   put_f64(&out, r.log_esp);
   put_str(&out, r.routed_qasm);
-  put_u64(&out, r.stage_us.size());
-  for (const pipeline::StageTiming& t : r.stage_us) {
-    put_str(&out, t.stage);
-    put_u64(&out, t.us);
-  }
   return out;
 }
 
@@ -112,32 +105,20 @@ bool decode_report(std::string_view bytes, pipeline::RouteReport* report) {
   std::uint64_t makespan = 0;
   std::uint64_t depth_in = 0;
   std::uint64_t depth_out = 0;
-  std::uint64_t stages = 0;
   const bool fields_ok =
       in.str(&r.name) && in.str(&r.error) && in.u64(&flags) &&
       in.u64(&qubits) && in.u64(&r.gates_in) && in.u64(&r.gates_out) &&
       in.u64(&r.gates_routed) && in.u64(&r.barriers) && in.u64(&r.swaps) &&
       in.u64(&r.forced_swaps) && in.u64(&r.escape_swaps) &&
-      in.u64(&r.cycles) && in.u64(&r.route_us) && in.u64(&makespan) &&
-      in.u64(&depth_in) && in.u64(&depth_out) && in.f64(&r.log_esp) &&
-      in.str(&r.routed_qasm) && in.u64(&stages);
-  if (!fields_ok) return false;
+      in.u64(&r.cycles) && in.u64(&makespan) && in.u64(&depth_in) &&
+      in.u64(&depth_out) && in.f64(&r.log_esp) && in.str(&r.routed_qasm);
+  if (!fields_ok || !in.done()) return false;  // short, or trailing garbage
   r.verified = (flags & 1u) != 0;
   r.verify_skipped = (flags & 2u) != 0;
   r.qubits = static_cast<int>(qubits);
   r.makespan = static_cast<arch::Duration>(makespan);
   r.depth_in = static_cast<arch::Duration>(depth_in);
   r.depth_out = static_cast<arch::Duration>(depth_out);
-  // Each stage entry is at least 16 bytes; a corrupt count would otherwise
-  // drive a multi-gigabyte reserve before the reads below caught it.
-  if (stages > bytes.size() / 16) return false;
-  r.stage_us.reserve(static_cast<std::size_t>(stages));
-  for (std::uint64_t i = 0; i < stages; ++i) {
-    pipeline::StageTiming t;
-    if (!in.str(&t.stage) || !in.u64(&t.us)) return false;
-    r.stage_us.push_back(std::move(t));
-  }
-  if (!in.done()) return false;  // trailing garbage = not our record
   *report = std::move(r);
   return true;
 }

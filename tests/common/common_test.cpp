@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "codar/common/arena.hpp"
 #include "codar/common/expects.hpp"
 #include "codar/common/rng.hpp"
 #include "codar/common/table.hpp"
@@ -109,52 +108,6 @@ TEST(FmtFixed, Decimals) {
   EXPECT_EQ(fmt_fixed(1.23456, 2), "1.23");
   EXPECT_EQ(fmt_fixed(1.0, 3), "1.000");
   EXPECT_EQ(fmt_fixed(-0.5, 1), "-0.5");
-}
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  common::Arena arena(/*first_block_bytes=*/64);
-  auto* a = static_cast<char*>(arena.allocate(3, 1));
-  auto* b = static_cast<char*>(arena.allocate(8, 8));
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_GE(b, a + 3);  // bump allocation never overlaps
-  EXPECT_GT(arena.bytes_reserved(), 0u);
-}
-
-TEST(Arena, GrowsByChainingBlocksAndResetsInPlace) {
-  common::Arena arena(/*first_block_bytes=*/32);
-  // Far more than the first block: forces doubling chains.
-  for (int i = 0; i < 100; ++i) (void)arena.allocate(64, 8);
-  const std::size_t reserved = arena.bytes_reserved();
-  EXPECT_GE(reserved, 100u * 64u);
-
-  // reset() reclaims every byte but keeps the blocks: replaying the same
-  // allocation pattern must not reserve anything new.
-  arena.reset();
-  for (int i = 0; i < 100; ++i) (void)arena.allocate(64, 8);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(Arena, OversizedRequestGetsItsOwnBlock) {
-  common::Arena arena(/*first_block_bytes=*/16);
-  auto* p = arena.allocate(1u << 12, 64);
-  EXPECT_NE(p, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
-  EXPECT_GE(arena.bytes_reserved(), 1u << 12);
-}
-
-TEST(ArenaVector, BehavesLikeAVector) {
-  common::Arena arena;
-  common::ArenaVector<int> v{common::ArenaAllocator<int>(arena)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  ASSERT_EQ(v.size(), 1000u);
-  EXPECT_EQ(v.front(), 0);
-  EXPECT_EQ(v.back(), 999);
-  // Rebind through a nested container compiles and works.
-  common::ArenaVector<common::ArenaVector<int>> nested{
-      common::ArenaAllocator<common::ArenaVector<int>>(arena)};
-  nested.emplace_back(common::ArenaAllocator<int>(arena));
-  nested[0].assign({1, 2, 3});
-  EXPECT_EQ(nested[0][2], 3);
 }
 
 }  // namespace

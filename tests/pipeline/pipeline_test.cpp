@@ -14,6 +14,8 @@
 #include "codar/arch/device.hpp"
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/pipeline.hpp"
+#include "codar/sabre/sabre_router.hpp"
+#include "codar/workloads/generators.hpp"
 #include "codar/workloads/suite.hpp"
 
 namespace codar::pipeline {
@@ -106,6 +108,37 @@ TEST(Pipeline, UnknownPassNamesFailConstruction) {
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.error.find("unknown router"), std::string::npos)
       << report.error;
+}
+
+TEST(Pipeline, SabreMappingPassesSeedRoundsAndHorizon) {
+  // The sabre entry must hand the spec's seed, rounds and horizon to the
+  // layout search. Each pair below holds initial_mapping's default and one
+  // other value, and on this circuit each knob moves the layout by itself,
+  // so a pass that dropped any of the three would choose another layout.
+  const arch::Device device = arch::ibm_q20_tokyo();
+  const ir::Circuit circuit =
+      workloads::random_circuit(16, 240, 0.5, /*seed=*/5);
+  const sabre::SabreRouter sabre(device);
+  const auto layout = [&](std::uint64_t seed, int rounds, int horizon) {
+    return sabre.initial_mapping(circuit, rounds, seed, horizon);
+  };
+  EXPECT_NE(layout(17, 3, 0), layout(3, 3, 0));
+  EXPECT_NE(layout(17, 3, 0), layout(17, 1, 0));
+  EXPECT_NE(layout(17, 3, 0), layout(17, 3, 40));
+  for (const std::uint64_t seed : {17u, 3u}) {
+    for (const int rounds : {3, 1}) {
+      for (const int horizon : {0, 40}) {
+        RoutingSpec spec;
+        spec.seed = seed;
+        spec.mapping_rounds = rounds;
+        spec.mapping_horizon = horizon;
+        EXPECT_EQ(Pipeline(device, spec).mapping().choose(circuit, device),
+                  layout(seed, rounds, horizon))
+            << "seed " << seed << ", rounds " << rounds << ", horizon "
+            << horizon;
+      }
+    }
+  }
 }
 
 TEST(Pipeline, OversizedCircuitFailsInTheLowerStage) {

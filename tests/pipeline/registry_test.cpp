@@ -1,13 +1,15 @@
-// Tests for the string-keyed pass registries: the built-in entries, the
-// lookup error contract (unknown names list the registered ones), the CLI
-// entry of the routing-knob table (set_knob_flag), and registration
-// validation.
+// Tests for the pass catalogs: the built-in entries, the lookup error
+// contract (unknown names list the catalog's names), the CLI entry of the
+// routing-knob table (set_knob_flag), and the rows of all three catalogs.
 
 #include <limits>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "codar/arch/device.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/registry.hpp"
 
 namespace codar::pipeline {
@@ -54,23 +56,6 @@ TEST(PassRegistry, UnknownNamesListRegisteredOnes) {
               "unknown initial mapping 'annealed' "
               "(expected identity|greedy|sabre)");
   }
-}
-
-TEST(PassRegistry, RejectsDuplicateAndIncompleteEntries) {
-  RouterRegistry local;  // fresh registry, no builtins
-  RouterEntry entry{"mine", "a test router",
-                    [](const arch::Device&, const RoutingSpec&) {
-                      return std::unique_ptr<RoutingPass>();
-                    }};
-  local.add(entry);
-  EXPECT_THROW(local.add(entry), std::logic_error);  // duplicate name
-  RouterEntry nameless = entry;
-  nameless.name.clear();
-  EXPECT_THROW(local.add(nameless), std::logic_error);
-  RouterEntry factoryless = entry;
-  factoryless.name = "other";
-  factoryless.make = nullptr;
-  EXPECT_THROW(local.add(factoryless), std::logic_error);
 }
 
 TEST(PassRegistry, RouterKnobHooksParseCodarFlags) {
@@ -162,38 +147,44 @@ TEST(PassRegistry, MappingKnobHookParsesHorizon) {
         << bad;
   }
   EXPECT_EQ(spec.mapping_horizon, 0);
-  const std::unique_ptr<MappingPass> pass =
-      MappingRegistry::instance().at("sabre").make(spec);
-  EXPECT_NE(pass->describe_config().find("horizon=0"), std::string::npos);
-}
-
-TEST(RoutingSpec, ExtrasAreSortedAndReplaceable) {
-  RoutingSpec spec;
-  EXPECT_EQ(spec.extra("beam"), nullptr);
-  spec.set_extra("beam", "8");
-  spec.set_extra("alpha", "0.5");
-  spec.set_extra("beam", "16");  // replace, not duplicate
-  ASSERT_EQ(spec.extras.size(), 2u);
-  EXPECT_EQ(spec.extras[0].first, "alpha");  // sorted for fingerprinting
-  EXPECT_EQ(spec.extras[1].first, "beam");
-  ASSERT_NE(spec.extra("beam"), nullptr);
-  EXPECT_EQ(*spec.extra("beam"), "16");
 }
 
 TEST(PassRegistry, FactoriesBuildPassesThatKnowTheirNames) {
+  // The catalogs are constant tables: what a registration check would have
+  // refused at run time — a duplicate name or alias, an empty description,
+  // a missing factory, a factory building another entry's pass — is
+  // checked here over every row.
   const arch::Device device = arch::ibm_q20_tokyo();
   RoutingSpec spec;
+  std::set<std::string> names;
   for (const RouterEntry& e : RouterRegistry::instance().entries()) {
+    EXPECT_TRUE(names.insert(e.name).second) << "duplicate " << e.name;
+    EXPECT_FALSE(e.description.empty()) << e.name;
+    ASSERT_NE(e.make, nullptr) << e.name;
     const std::unique_ptr<RoutingPass> pass = e.make(device, spec);
     ASSERT_NE(pass, nullptr) << e.name;
     EXPECT_EQ(pass->name(), e.name);
-    EXPECT_FALSE(pass->describe_config().empty()) << e.name;
   }
+  names.clear();
   for (const MappingEntry& e : MappingRegistry::instance().entries()) {
+    EXPECT_TRUE(names.insert(e.name).second) << "duplicate " << e.name;
+    EXPECT_FALSE(e.description.empty()) << e.name;
+    ASSERT_NE(e.make, nullptr) << e.name;
     const std::unique_ptr<MappingPass> pass = e.make(spec);
     ASSERT_NE(pass, nullptr) << e.name;
     EXPECT_EQ(pass->name(), e.name);
-    EXPECT_FALSE(pass->describe_config().empty()) << e.name;
+  }
+  // A device spec resolves through names and aliases alike, so one set
+  // holds both.
+  names.clear();
+  for (const DeviceEntry& e : DeviceRegistry::instance().entries()) {
+    EXPECT_TRUE(names.insert(e.name).second) << "duplicate " << e.name;
+    for (const std::string& alias : e.aliases) {
+      EXPECT_TRUE(names.insert(alias).second) << "duplicate alias " << alias;
+    }
+    EXPECT_FALSE(e.spec.empty()) << e.name;
+    EXPECT_FALSE(e.description.empty()) << e.name;
+    EXPECT_TRUE(static_cast<bool>(e.make)) << e.name;
   }
 }
 

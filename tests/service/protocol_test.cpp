@@ -3,12 +3,9 @@
 
 #include "codar/service/protocol.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -103,64 +100,38 @@ TEST(ParseRequest, MinimalSuiteRequest) {
   EXPECT_EQ(req.opts.device, "tokyo");  // inherited default
 }
 
-TEST(ParseRequest, ExtrasOptionFillsSpecExtras) {
-  const ServeRequest req = parse_request(
-      R"({"id": 1, "suite_name": "ghz_3",
-          "options": {"extras": {"beam": "8", "alpha": "0.5"}}})",
-      defaults());
-  ASSERT_NE(req.opts.extra("beam"), nullptr);
-  EXPECT_EQ(*req.opts.extra("beam"), "8");
-  ASSERT_NE(req.opts.extra("alpha"), nullptr);
-  EXPECT_EQ(*req.opts.extra("alpha"), "0.5");
-  // A request's extras object replaces the serve-line defaults wholesale,
-  // so a client can unset a default knob by omitting it.
-  pipeline::RoutingSpec seeded = defaults();
-  seeded.set_extra("beam", "8");
-  const ServeRequest cleared = parse_request(
-      R"({"suite_name": "ghz_3", "options": {"extras": {}}})", seeded);
-  EXPECT_TRUE(cleared.opts.extras.empty());
-  const ServeRequest inherited =
-      parse_request(R"({"suite_name": "ghz_3"})", seeded);
-  ASSERT_NE(inherited.opts.extra("beam"), nullptr);
-  // Strictly strings, strictly an object.
-  EXPECT_THROW(parse_request(R"({"suite_name": "ghz_3",
-                                 "options": {"extras": {"beam": 8}}})",
-                             defaults()),
-               ProtocolError);
-  EXPECT_THROW(parse_request(R"({"suite_name": "ghz_3",
-                                 "options": {"extras": "beam=8"}})",
-                             defaults()),
-               ProtocolError);
+TEST(ParseRequest, ExtrasOptionIsUnknown) {
+  // No pass reads a free-form knob: "extras" is an unknown option like any
+  // other key outside the knob table, in whatever shape it comes.
+  for (const char* extras :
+       {R"({"beam": "8"})", R"({})", R"("beam=8")", R"(null)"}) {
+    try {
+      parse_request(std::string(R"({"suite_name": "ghz_3", "options": )") +
+                        R"({"extras": )" + extras + "}}",
+                    defaults());
+      FAIL() << "accepted extras " << extras;
+    } catch (const ProtocolError& e) {
+      EXPECT_STREQ(e.what(), "unknown option 'extras'") << extras;
+    }
+  }
 }
 
-TEST(ParseRequest, RepeatedExtrasKeyKeepsItsLastValue) {
-  const ServeRequest req = parse_request(
-      R"({"suite_name": "ghz_3", "options": {"extras":
-          {"beam": "8", "alpha": "0.5", "beam": "16", "zeta": "1"}}})",
-      defaults());
-  const std::vector<std::pair<std::string, std::string>> expected = {
-      {"alpha", "0.5"}, {"beam", "16"}, {"zeta", "1"}};
-  EXPECT_EQ(req.opts.extras, expected);
-}
-
-TEST(ParseRequest, ManyExtrasKeysParseInBoundedTime) {
-  // The reader thread parses every request line; 200k keys (a 4 MB
-  // line, under the default 8 MiB cap) must not cost quadratic time.
+TEST(ParseRequest, ManyOptionKeysParseInBoundedTime) {
+  // The reader thread parses every request line; 200k option keys (a
+  // 3.5 MB line, under the default 8 MiB cap) must not cost quadratic
+  // time. A repeated key sets its row again, so the last value wins.
   constexpr int kKeys = 200000;
-  std::string line = R"({"suite_name": "ghz_3", "options": {"extras": {)";
+  std::string line = R"({"suite_name": "ghz_3", "options": {)";
   for (int i = kKeys - 1; i >= 0; --i) {
-    line += "\"k" + std::to_string(i) + "\": \"" + std::to_string(i) + "\"";
-    line += i > 0 ? ", " : "}}}";
+    line += "\"window\": " + std::to_string(i);
+    line += i > 0 ? ", " : "}}";
   }
   const auto start = std::chrono::steady_clock::now();
   const ServeRequest req = parse_request(line, defaults());
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed.count(), testing::kBoundedWorkSeconds);
-  ASSERT_EQ(req.opts.extras.size(), static_cast<std::size_t>(kKeys));
-  EXPECT_TRUE(std::is_sorted(req.opts.extras.begin(), req.opts.extras.end()));
-  ASSERT_NE(req.opts.extra("k4711"), nullptr);
-  EXPECT_EQ(*req.opts.extra("k4711"), "4711");
+  EXPECT_EQ(req.opts.codar.front_window, 0);
 }
 
 TEST(ParseRequest, FidWeightOptionsParseAndValidate) {

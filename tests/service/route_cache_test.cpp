@@ -104,8 +104,6 @@ TEST(RouteCache, RealFingerprintsGiveDistinctKeys) {
   no_context.codar.context_aware = false;
   pipeline::RoutingSpec reseeded = base;
   reseeded.seed = base.seed + 1;
-  pipeline::RoutingSpec with_extra = base;
-  with_extra.set_extra("beam", "8");
   pipeline::RoutingSpec reweighted = base;
   reweighted.fid.beta = 0.0;  // result-changing for codar-fid
   pipeline::RoutingSpec whole_circuit = base;
@@ -113,7 +111,6 @@ TEST(RouteCache, RealFingerprintsGiveDistinctKeys) {
   EXPECT_NE(options_fingerprint(base), options_fingerprint(sabre));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(no_context));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(reseeded));
-  EXPECT_NE(options_fingerprint(base), options_fingerprint(with_extra));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(reweighted));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(whole_circuit));
 
@@ -128,7 +125,7 @@ TEST(RouteCache, PinnedOptionsFingerprintValues) {
   // schema change is intentional, bump the version tag in
   // options_fingerprint and re-pin.
   EXPECT_EQ(options_fingerprint(pipeline::RoutingSpec{}),
-            0x1e2f93db8aa7c909ull);
+            0xd5807bed3af03478ull);
 
   pipeline::RoutingSpec every;  // every fingerprinted field off its default
   every.router = "codar-fid";
@@ -147,8 +144,7 @@ TEST(RouteCache, PinnedOptionsFingerprintValues) {
   every.fid.alpha = 1.5;
   every.fid.beta = 0.0;
   every.fid.gamma = 2.25;
-  every.set_extra("beam", "8");
-  EXPECT_EQ(options_fingerprint(every), 0x2c18a76b5ebd2af8ull);
+  EXPECT_EQ(options_fingerprint(every), 0xcc407f59f01286e4ull);
 }
 
 TEST(RouteCache, TimingAndPathsDoNotChangeOptionsFingerprint) {
@@ -163,10 +159,10 @@ TEST(RouteCache, TimingAndPathsDoNotChangeOptionsFingerprint) {
 }
 
 TEST(RouteCache, DecodedReportCountsTheSameBytesAsRouted) {
-  // A routed report grows its stage timings by push_back, a decoded one
-  // reserves them exactly; the byte budget must not tell them apart, or
-  // which entries a tight budget evicts would depend on the tier they
-  // came from.
+  // The memory tier keeps a routed report without its wall times, which
+  // the disk tier does not store either; the byte budget must not tell
+  // the two apart, or which entries a tight budget evicts would depend on
+  // the tier they came from.
   const RouteReport routed = pipeline::route_circuit(
       workloads::qft(8), arch::ibm_q20_tokyo(), pipeline::RoutingSpec{},
       /*keep_qasm=*/true);
@@ -174,8 +170,16 @@ TEST(RouteCache, DecodedReportCountsTheSameBytesAsRouted) {
   ASSERT_FALSE(routed.stage_us.empty());
   RouteReport decoded;
   ASSERT_TRUE(store::decode_report(store::encode_report(routed), &decoded));
-  EXPECT_EQ(RouteCache::report_bytes(decoded),
-            RouteCache::report_bytes(routed));
+  RouteCache cache(1u << 20, /*num_shards=*/1);
+  const RouteReport returned =
+      cache.get_or_route(key_of(1, 0, 0), [&] { return routed; });
+  EXPECT_EQ(cache.counters().bytes, RouteCache::report_bytes(decoded));
+  // Only the caller whose route ran sees the wall times.
+  EXPECT_EQ(returned.route_us, routed.route_us);
+  EXPECT_EQ(returned.stage_us.size(), routed.stage_us.size());
+  EXPECT_EQ(cache.get_or_route(key_of(1, 0, 0), [&] { return routed; })
+                .stage_us.size(),
+            0u);
 }
 
 TEST(RouteCache, LruEvictionUnderByteBudget) {

@@ -300,6 +300,42 @@ TEST_F(ServePersistTest, StatsReportDiskTierGauges) {
   EXPECT_EQ(disk->find("evictions")->as_number(), 0.0);
 }
 
+TEST_F(ServePersistTest, TimedHitsReportNoWallTimes) {
+  // route_us and stage_us time the request whose worker routed. A cache
+  // hit routed nothing, so it reports none: not the wall times of the
+  // request that filled the entry, in this process or in the one that
+  // wrote the cache dir.
+  const std::string timed =
+      R"("suite_name": "qft_8", "options": {"timing": true}})";
+  const auto expect_untimed_hit = [](const std::string& response) {
+    EXPECT_TRUE(cached_flag(response)) << response;
+    const Json doc = Json::parse(response);
+    const Json* result = doc.find("result");
+    ASSERT_NE(result, nullptr) << response;
+    EXPECT_EQ(result->find("route_us")->as_number(), 0.0) << response;
+    EXPECT_TRUE(result->find("stage_us")->members().empty()) << response;
+  };
+
+  ServeOptions opts = persistent_opts();
+  opts.defaults.threads = 1;  // the first request routes, the second hits
+  const ServeRun first =
+      serve(opts, {"{\"id\": 1, " + timed, "{\"id\": 2, " + timed});
+  ASSERT_EQ(first.exit_code, 0) << first.err;
+  const std::map<std::string, std::string> index = by_id(first.responses);
+  EXPECT_FALSE(cached_flag(index.at("1")));
+  EXPECT_FALSE(Json::parse(index.at("1"))
+                   .find("result")
+                   ->find("stage_us")
+                   ->members()
+                   .empty());
+  expect_untimed_hit(index.at("2"));
+
+  const ServeRun restarted = serve(opts, {"{\"id\": 3, " + timed});
+  ASSERT_EQ(restarted.exit_code, 0) << restarted.err;
+  ASSERT_EQ(restarted.responses.size(), 1u);
+  expect_untimed_hit(restarted.responses.front());
+}
+
 TEST_F(ServePersistTest, CachedBytesDoNotDependOnWhichAliasRoutedFirst) {
   // A suite name and the same program sent inline share one cache key. The
   // entry must not keep the name of whichever of them routed, or the

@@ -6,8 +6,11 @@
 
 #include "codar/store/report_codec.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -54,7 +57,6 @@ void expect_equal(const pipeline::RouteReport& a,
   EXPECT_EQ(a.forced_swaps, b.forced_swaps);
   EXPECT_EQ(a.escape_swaps, b.escape_swaps);
   EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.route_us, b.route_us);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.depth_in, b.depth_in);
   EXPECT_EQ(a.depth_out, b.depth_out);
@@ -63,18 +65,56 @@ void expect_equal(const pipeline::RouteReport& a,
   EXPECT_EQ(std::signbit(a.log_esp), std::signbit(b.log_esp));
   EXPECT_EQ(a.log_esp, b.log_esp);
   EXPECT_EQ(a.routed_qasm, b.routed_qasm);
-  ASSERT_EQ(a.stage_us.size(), b.stage_us.size());
-  for (std::size_t i = 0; i < a.stage_us.size(); ++i) {
-    EXPECT_EQ(a.stage_us[i].stage, b.stage_us[i].stage);
-    EXPECT_EQ(a.stage_us[i].us, b.stage_us[i].us);
+}
+
+void put_u64(std::string* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+void put_str(std::string* out, const std::string& s) {
+  put_u64(out, s.size());
+  *out += s;
+}
+
+/// `r` in the version-1 layout, which also stored route_us (after cycles)
+/// and stage_us (a count, then name and microseconds per stage, last).
+std::string encode_v1(const pipeline::RouteReport& r) {
+  std::string out;
+  put_u64(&out, 1);
+  put_str(&out, r.name);
+  put_str(&out, r.error);
+  put_u64(&out, (r.verified ? 1u : 0u) | (r.verify_skipped ? 2u : 0u));
+  for (const std::uint64_t v :
+       {static_cast<std::uint64_t>(r.qubits), std::uint64_t{r.gates_in},
+        std::uint64_t{r.gates_out}, std::uint64_t{r.gates_routed},
+        std::uint64_t{r.barriers}, std::uint64_t{r.swaps},
+        std::uint64_t{r.forced_swaps}, std::uint64_t{r.escape_swaps},
+        std::uint64_t{r.cycles}, std::uint64_t{r.route_us},
+        static_cast<std::uint64_t>(r.makespan),
+        static_cast<std::uint64_t>(r.depth_in),
+        static_cast<std::uint64_t>(r.depth_out),
+        std::bit_cast<std::uint64_t>(r.log_esp)}) {
+    put_u64(&out, v);
   }
+  put_str(&out, r.routed_qasm);
+  put_u64(&out, r.stage_us.size());
+  for (const pipeline::StageTiming& t : r.stage_us) {
+    put_str(&out, t.stage);
+    put_u64(&out, t.us);
+  }
+  return out;
 }
 
 TEST(ReportCodec, RoundTripsEveryField) {
   const pipeline::RouteReport original = full_report();
-  pipeline::RouteReport decoded;
+  pipeline::RouteReport decoded = full_report();  // start dirty
   ASSERT_TRUE(decode_report(encode_report(original), &decoded));
   expect_equal(original, decoded);
+  // The wall times describe the one call that routed; a record keeps none.
+  EXPECT_EQ(decoded.route_us, 0u);
+  EXPECT_TRUE(decoded.stage_us.empty());
+  // A version-1 record, which did keep them, re-routes instead.
+  EXPECT_FALSE(decode_report(encode_v1(original), &decoded));
 }
 
 TEST(ReportCodec, RoundTripsDefaultReport) {
@@ -137,8 +177,8 @@ TEST(ReportCodec, RejectsHostileLengthPrefix) {
   pipeline::RouteReport r;
   r.name = "x";
   std::string bytes = encode_report(r);
-  // The name length is the first field after the u32 version word.
-  for (std::size_t i = 4; i < 12 && i < bytes.size(); ++i) {
+  // The name length is the first field after the u64 version word.
+  for (std::size_t i = 8; i < 16 && i < bytes.size(); ++i) {
     bytes[i] = static_cast<char>(0xff);
   }
   pipeline::RouteReport decoded;
